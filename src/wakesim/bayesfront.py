@@ -125,8 +125,15 @@ class BayesModel:
 
     def quantize_features(self, mags) -> list[int]:
         """Quantized level of each selected bin of one feature vector."""
+        return self.quantize_matrix(np.asarray(mags)[None])[0].tolist()
+
+    def quantize_matrix(self, mags) -> np.ndarray:
+        """Levels of the selected bins for a (n_beats, n_bins) feature matrix."""
         mags = np.asarray(mags, dtype=np.float64)
-        return [quantize(float(mags[b]), q) for b, q in zip(self.feature_bins, self.quantizers)]
+        levels = np.empty((len(mags), self.n_features), dtype=np.int64)
+        for j, (b, q) in enumerate(zip(self.feature_bins, self.quantizers)):
+            levels[:, j] = quantize(mags[:, b], q)
+        return levels
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,9 @@ class IdealReader:
 
     def __call__(self, class_id: int, feature: int, level: int) -> int:
         return int(self._codes[class_id, feature, level])
+
+    def read_many(self, class_ids, features, levels) -> np.ndarray:
+        return self._codes[class_ids, features, levels]
 
 
 def fit_bayes_model(mags, labels, ranked_bins, codec: LogCodec = LogCodec()) -> BayesModel:
@@ -195,6 +205,53 @@ def bayes_infer(levels, model: BayesModel, reader) -> ClassScores:
         scores=tuple(scores),
         predicted=predicted,
         tie_with_normal=tie_with_normal,
+        invalid=smin >= model.invalid_threshold,
+    )
+
+
+@dataclass(frozen=True)
+class ScoreBatch:
+    """Outcomes of a batch of front-end inferences, one row per beat."""
+
+    scores: np.ndarray  # (n_beats, n_classes), int64
+    predicted: np.ndarray
+    tie_with_normal: np.ndarray
+    invalid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.predicted)
+
+    def __getitem__(self, i: int) -> ClassScores:
+        return ClassScores(
+            scores=tuple(self.scores[i].tolist()),
+            predicted=int(self.predicted[i]),
+            tie_with_normal=bool(self.tie_with_normal[i]),
+            invalid=bool(self.invalid[i]),
+        )
+
+
+def bayes_infer_many(levels, model: BayesModel, reader) -> ScoreBatch:
+    """bayes_infer over a (n_beats, n_features) level matrix in one pass.
+
+    The reader must offer read_many(class_ids, features, levels) -> codes.
+    Words are requested in the order a per-beat bayes_infer loop reads them
+    (beat, then class, then feature), so a reader whose noise depends on
+    per-address read order returns the same words either way.
+    """
+    levels = np.asarray(levels, dtype=np.int64)
+    n_beats, n_features = levels.shape
+    n_classes = len(model.class_names)
+    shape = (n_beats, n_classes, n_features)
+    class_ids = np.broadcast_to(np.arange(n_classes)[None, :, None], shape)
+    features = np.broadcast_to(np.arange(n_features)[None, None, :], shape)
+    words = reader.read_many(class_ids.ravel(), features.ravel(),
+                             np.broadcast_to(levels[:, None, :], shape).ravel())
+    scores = np.asarray(words, dtype=np.int64).reshape(shape).sum(axis=2)
+    smin = scores.min(axis=1)
+    return ScoreBatch(
+        scores=scores,
+        predicted=scores.argmin(axis=1),
+        tie_with_normal=(scores[:, 0] == smin) & (scores[:, 1:] == smin[:, None]).any(axis=1),
         invalid=smin >= model.invalid_threshold,
     )
 

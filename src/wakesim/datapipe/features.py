@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,35 @@ FEATURE_LEN = 2 * BINS_PER_CHANNEL
 
 N_CELLS = 16
 
+# Beats per FFT batch. Stacking a whole split at once would hold its samples
+# and complex spectra (~26 MB for 3200 beats) at the same time; 256-beat
+# blocks keep that under 2 MB and cost nothing in speed.
+FFT_CHUNK = 256
+
+
+def _samples(beat) -> np.ndarray:
+    samples = beat.samples if hasattr(beat, "samples") else np.asarray(beat, dtype=np.float64)
+    if samples.shape != (2, SEGMENT_LEN):
+        raise ValueError(f"expected (2, {SEGMENT_LEN}) samples, got {samples.shape}")
+    return samples
+
+
+def _spectra(samples: np.ndarray) -> np.ndarray:
+    """Feature vectors of a (n, 2, SEGMENT_LEN) sample block, one row per beat."""
+    spect = np.abs(np.fft.rfft(samples, n=SEGMENT_LEN, axis=-1)) / SEGMENT_LEN
+    return spect.reshape(len(samples), FEATURE_LEN)
+
+
+def feature_chunks(beats, size: int = FFT_CHUNK):
+    """Yield (beats, mags) for consecutive blocks of at most `size` beats.
+
+    `beats` may be any iterable; each block's FFT runs as one batched call,
+    and its rows equal fft_features of the same beats bit for bit.
+    """
+    it = iter(beats)
+    while chunk := list(itertools.islice(it, size)):
+        yield chunk, _spectra(np.stack([_samples(b) for b in chunk]))
+
 
 def fft_features(beat) -> np.ndarray:
     """Magnitudes of the length-252 DFT, bins 0..126 per channel, over 252.
@@ -21,20 +51,18 @@ def fft_features(beat) -> np.ndarray:
     No window and no zero padding: the segment length is the transform
     length. Returns a float vector of length 254 (channel 0 bins first).
     """
-    samples = beat.samples if hasattr(beat, "samples") else np.asarray(beat, dtype=np.float64)
-    if samples.shape != (2, SEGMENT_LEN):
-        raise ValueError(f"expected (2, {SEGMENT_LEN}) samples, got {samples.shape}")
-    spect = np.abs(np.fft.rfft(samples, n=SEGMENT_LEN, axis=1)) / SEGMENT_LEN
-    return spect.reshape(-1)
+    return _spectra(_samples(beat)[None])[0]
 
 
 def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
-    """Stack fft_features over a list of beats; returns (mags, labels)."""
+    """fft_features of every beat, stacked; returns (mags, labels)."""
     mags = np.empty((len(beats), FEATURE_LEN), dtype=np.float64)
     labels = np.empty(len(beats), dtype=np.int64)
-    for i, b in enumerate(beats):
-        mags[i] = fft_features(b)
-        labels[i] = b.label
+    start = 0
+    for chunk, block in feature_chunks(beats):
+        mags[start:start + len(chunk)] = block
+        labels[start:start + len(chunk)] = [b.label for b in chunk]
+        start += len(chunk)
     return mags, labels
 
 

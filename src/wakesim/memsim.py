@@ -173,10 +173,19 @@ def read_word(state: ArrayState, address: tuple[int, int, int], op: OperatingPoi
 class MemristorReader:
     """Word reader with schedule-invariant noise.
 
-    Each read of an address gets its own counter-based stream keyed by
-    (seed, address, per-address read index), so the k-th read of a word
-    sees the same noise no matter how reads of different addresses are
-    interleaved.
+    Every address (class, feature, level) has its own counter-based Philox
+    stream keyed by (seed, address). The k-th read of an address takes a
+    fixed slice of that stream, selected by the Philox counter, so it sees
+    the same noise no matter how reads of different addresses are
+    interleaved or batched. Read k uses the eight uniforms at offset 4k,
+    one per bit, MSB first; a bit flips when its uniform falls below the
+    bit's flip probability.
+
+    `read_many(class_ids, features, levels)` reads a whole sequence of words
+    in one call and returns exactly what the same sequence of single reads
+    would, advancing the same per-address read counters; `reader(c, f, l)`
+    is one read. The flip-probability table `flip_table` (class, feature,
+    level, bit) is computed once, when the reader is made.
     """
 
     def __init__(self, state: ArrayState, op: OperatingPoint,
@@ -185,18 +194,47 @@ class MemristorReader:
         self.op = op
         self.error_model = error_model
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._read_index: dict[int, int] = {}
-        n_classes, n_features, n_levels = state.codes.shape
-        self._strides = (n_features * n_levels, n_levels)
+        self._shape = state.codes.shape
+        self._codes = state.codes.reshape(-1).astype(np.int64)
+        # Flip probability of every stored bit, (class, feature, level, bit).
+        self.flip_table = error_model.flip_probability(margins(state), op.vdd)
+        self._eps = self.flip_table.reshape(-1, WORD_BITS)
+        # Addresses that cannot flip need no uniforms (u < 0 never holds).
+        self._noisy = (self._eps > 0).any(axis=1)
+        self._read_index = np.zeros(len(self._codes), dtype=np.int64)
 
     def __call__(self, class_id: int, feature: int, level: int) -> int:
-        addr = class_id * self._strides[0] + feature * self._strides[1] + level
-        idx = self._read_index.get(addr, 0)
-        self._read_index[addr] = idx + 1
+        addr = int(np.ravel_multi_index((class_id, feature, level), self._shape))
+        return int(self._read_run(addr, 1)[0])
+
+    def read_many(self, class_ids, features, levels) -> np.ndarray:
+        """Words of a read sequence, in order; same as one call per read."""
+        index = tuple(np.asarray(a, dtype=np.intp) for a in (class_ids, features, levels))
+        addrs = np.ravel_multi_index(index, self._shape)
+        # A stable sort groups each address's reads and keeps them in
+        # sequence order, so the j-th of them is that address's next read + j.
+        order = np.argsort(addrs, kind="stable")
+        grouped = addrs[order]
+        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+        ends = np.append(starts[1:], len(grouped))
+        words = np.empty(len(grouped), dtype=np.int64)
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            words[order[lo:hi]] = self._read_run(int(grouped[lo]), hi - lo)
+        return words
+
+    def _read_run(self, addr: int, count: int) -> np.ndarray:
+        """The next `count` reads of one address."""
+        k0 = int(self._read_index[addr])
+        self._read_index[addr] = k0 + count
+        if not self._noisy[addr]:
+            return np.full(count, self._codes[addr])
         key = np.array([self.seed, addr], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key, counter=[idx, 0, 0, 0]))
-        return read_word(self.state, (class_id, feature, level), self.op,
-                         self.error_model, rng)
+        # numpy's Philox increments its counter before each 4-value block,
+        # so counter k0 starts the draw at offset 4 * k0.
+        rng = np.random.Generator(np.random.Philox(key=key, counter=[k0, 0, 0, 0]))
+        blocks = rng.random(4 * (count + 1)).reshape(count + 1, 4)
+        flips = np.hstack([blocks[:-1], blocks[1:]]) < self._eps[addr]
+        return self._codes[addr] ^ (flips @ _BIT_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------

@@ -216,26 +216,41 @@ def quantize_mlp(model: MlpFloat, calibration: np.ndarray) -> MlpModel:
     return MlpModel(dims=model.dims, layers=layers, float_ref=model)
 
 
-def mlp_infer(q_input, model: MlpModel) -> tuple[int, np.ndarray]:
-    """Integer-only forward pass.
+def mlp_forward(q_inputs, model: MlpModel) -> tuple[np.ndarray, np.ndarray]:
+    """Integer-only forward pass over a batch of int8 input rows.
 
-    Returns (predicted class, int32 logits). Deterministic given the model
-    file contents: every step is integer arithmetic except the requantize
-    multiply, which is a single float64 product rounded half-to-even.
+    Returns (predicted classes, int32 logits), one row per input. Every
+    step is integer arithmetic except the requantize multiply, which is a
+    single float64 product rounded half-to-even. The matrix products run
+    through float64 BLAS: every term is an integer of magnitude at most
+    127 * 255, so every partial sum of a layer with fewer than 2**37 inputs
+    is an integer below 2**53 and exact, whatever the summation order.
     """
-    x = np.asarray(q_input, dtype=np.int32)
-    if x.shape != (model.dims[0],):
-        raise ValueError(f"expected input of shape ({model.dims[0]},), got {x.shape}")
+    x = np.asarray(q_inputs, dtype=np.int32)
+    if x.ndim != 2 or x.shape[1] != model.dims[0]:
+        raise ValueError(f"expected inputs of shape (n, {model.dims[0]}), got {x.shape}")
     for layer in model.layers:
-        acc = layer.w_q.astype(np.int32) @ (x - layer.zp_in) + layer.b_q
+        acc = ((x - layer.zp_in).astype(np.float64) @ layer.w_q.T.astype(np.float64)
+               ).astype(np.int64) + layer.b_q
         if layer.s_out is None:
-            logits = acc
+            logits = acc.astype(np.int32)
         else:
             multiplier = layer.s_in * layer.s_w / layer.s_out
             q = np.rint(acc * multiplier) + layer.zp_out
             x = np.clip(q, -128, 127).astype(np.int32)
-    pred = int(np.argmax(logits))
-    return pred, logits
+    return np.argmax(logits, axis=1), logits
+
+
+def mlp_infer(q_input, model: MlpModel) -> tuple[int, np.ndarray]:
+    """mlp_forward of one input row: (predicted class, int32 logits).
+
+    Deterministic given the model file contents.
+    """
+    x = np.asarray(q_input, dtype=np.int32)
+    if x.shape != (model.dims[0],):
+        raise ValueError(f"expected input of shape ({model.dims[0]},), got {x.shape}")
+    preds, logits = mlp_forward(x[None], model)
+    return int(preds[0]), logits[0]
 
 
 class MlpClassifier:
@@ -255,10 +270,9 @@ class MlpClassifier:
         return pred
 
     def predict_features(self, mags_matrix) -> np.ndarray:
-        return np.array([
-            mlp_infer(self.input_quantizer(row[list(self.bins)]), self.model)[0]
-            for row in np.asarray(mags_matrix, dtype=np.float64)
-        ])
+        """Predicted class of every row of a feature matrix, in one forward pass."""
+        mags = np.asarray(mags_matrix, dtype=np.float64)
+        return mlp_forward(self.input_quantizer(mags[:, list(self.bins)]), self.model)[0]
 
 
 def fit_backend(mags, labels, ranked_bins, config: TrainConfig = TrainConfig()) -> MlpClassifier:

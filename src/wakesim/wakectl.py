@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayesfront import BayesModel, ClassScores, bayes_infer
+from .bayesfront import BayesModel, ClassScores, ScoreBatch, bayes_infer, bayes_infer_many
 from .datapipe.beats import BeatRecord, N_CLASSES
-from .datapipe.features import fft_features
+from .datapipe.features import feature_chunks
 from .metrics import ConfusionMatrix
 
 
@@ -121,6 +121,56 @@ class StreamResult:
                 ])
 
 
+# decide_wake's reasons by priority; index 0 is a sleep.
+_REASONS = (None, WakeReason.INVALID, WakeReason.ABNORMAL, WakeReason.AMBIGUOUS)
+
+
+def wake_reasons(batch: ScoreBatch, policy: WakePolicy = WakePolicy()) -> list[WakeReason | None]:
+    """decide_wake over a batch of inference outcomes: each beat's wake reason or None."""
+    codes = np.select(
+        [batch.invalid & policy.wake_on_invalid,
+         (batch.predicted != 0) & policy.wake_on_abnormal,
+         batch.tie_with_normal & policy.wake_on_ambiguous],
+        [1, 2, 3], 0)
+    return [_REASONS[k] for k in codes.tolist()]
+
+
+def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):
+    """(front-end labels, wake reasons) of a block of beats.
+
+    Readers with read_many take one batched pass; any other word-reader
+    callable goes beat by beat through bayes_infer and decide_wake.
+    """
+    if hasattr(reader, "read_many"):
+        batch = bayes_infer_many(model.quantize_matrix(mags), model, reader)
+        return batch.predicted.tolist(), wake_reasons(batch, policy)
+    decisions = [decide_wake(bayes_infer(model.quantize_features(row), model, reader), policy)
+                 for row in mags]
+    return [d.front_pred for d in decisions], [d.reason for d in decisions]
+
+
+def _back_end(backend, beats, mags, woken: list[int]) -> dict[int, int | None]:
+    """Back-end label of every woken beat; None where the back end failed on it.
+
+    A back end with predict_features labels all woken rows in one call. If
+    it has none, or that call raises, each beat goes through
+    backend.predict(beat, mags) on its own, so one failure costs one beat.
+    """
+    predict_features = getattr(backend, "predict_features", None)
+    if predict_features is not None and woken:
+        try:
+            return dict(zip(woken, np.asarray(predict_features(mags[woken])).tolist()))
+        except Exception:
+            pass
+    labels: dict[int, int | None] = {}
+    for i in woken:
+        try:
+            labels[i] = int(backend.predict(beats[i], mags[i]))
+        except Exception:
+            labels[i] = None
+    return labels
+
+
 def run_stream(beats, model: BayesModel, reader, backend,
                policy: WakePolicy = WakePolicy()) -> StreamResult:
     """Run the full system over a beat stream.
@@ -131,30 +181,26 @@ def run_stream(beats, model: BayesModel, reader, backend,
     the beat is finalized as N. A backend exception on a waked beat is
     recorded as a system error for that beat and the run continues with the
     front-end label.
+
+    The stream is processed in blocks of FFT_CHUNK beats. A reader with
+    read_many and a back end with predict_features each serve a whole
+    block per call; the outcomes are the same as beat by beat.
     """
     result = StreamResult()
-    for beat in beats:
-        mags = fft_features(beat)
-        levels = model.quantize_features(mags)
-        scores = bayes_infer(levels, model, reader)
-        decision = decide_wake(scores, policy)
-        backend_error = False
-        if decision.wake:
-            try:
-                system_pred = int(backend.predict(beat, mags))
-            except Exception:
-                system_pred = decision.front_pred
-                backend_error = True
-        else:
-            system_pred = 0
-        result.outcomes.append(BeatOutcome(
-            true_label=beat.label,
-            front_pred=decision.front_pred,
-            wake=decision.wake,
-            reason=decision.reason,
-            system_pred=system_pred,
-            backend_error=backend_error,
-        ))
+    for chunk, mags in feature_chunks(beats):
+        front, reasons = _front_end(mags, model, reader, policy)
+        woken = [i for i, r in enumerate(reasons) if r is not None]
+        labels = _back_end(backend, chunk, mags, woken)
+        for i, beat in enumerate(chunk):
+            label = labels.get(i, 0)
+            result.outcomes.append(BeatOutcome(
+                true_label=beat.label,
+                front_pred=front[i],
+                wake=reasons[i] is not None,
+                reason=reasons[i],
+                system_pred=front[i] if label is None else label,
+                backend_error=label is None,
+            ))
     return result
 
 

@@ -347,3 +347,20 @@ def test_array_state_round_trip(tmp_path):
     assert (back.vddr, back.seed) == (state.vddr, state.seed)
     assert (op_back.vdd, op_back.vddr, op_back.label) == (op.vdd, op.vddr, op.label)
     assert noise_back.sigma_n_table == noise.sigma_n_table
+
+
+def test_reads_follow_the_noise_layout():
+    # read k of address a takes uniforms [4k, 4k + 8) of the (seed, a)
+    # Philox stream, one per bit, MSB first
+    _, dists, noise = regime_preset("B")
+    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+    state = program_arrays(model, dists, 1.5, seed=1)
+    reader = MemristorReader(state, OperatingPoint(1.2, 1.5), noise, seed=7)
+    n_reads = 40
+    for address in ((0, 0, 0), (2, 1, 5), (3, 3, 7)):
+        addr = int(np.ravel_multi_index(address, state.codes.shape))
+        key = np.array([7, addr], dtype=np.uint64)
+        stream = np.random.Generator(np.random.Philox(key=key)).random(4 * n_reads + 4)
+        for k in range(n_reads):
+            flips = stream[4 * k:4 * k + 8] < reader.flip_table[address]
+            assert reader(*address) == int(bits_code(code_bits(state.codes[address]) ^ flips))
