@@ -174,18 +174,18 @@ class MemristorReader:
     """Word reader with schedule-invariant noise.
 
     Every address (class, feature, level) has its own counter-based Philox
-    stream keyed by (seed, address). The k-th read of an address takes a
-    fixed slice of that stream, selected by the Philox counter, so it sees
-    the same noise no matter how reads of different addresses are
-    interleaved or batched. Read k uses the eight uniforms at offset 4k,
-    one per bit, MSB first; a bit flips when its uniform falls below the
-    bit's flip probability.
+    stream keyed by (seed, address), and read k of an address uses
+    uniforms [8k, 8k + 8) of that stream, one per bit, MSB first; a bit
+    flips when its uniform falls below the bit's flip probability. Reads
+    of one word therefore get disjoint noise, and the k-th read sees the
+    same noise no matter how reads of different addresses are interleaved
+    or batched.
 
     `read_many(class_ids, features, levels)` reads a whole sequence of words
     in one call and returns exactly what the same sequence of single reads
-    would, advancing the same per-address read counters; `reader(c, f, l)`
-    is one read. The flip-probability table `flip_table` (class, feature,
-    level, bit) is computed once, when the reader is made.
+    `reader(c, f, l)` would; either advances the same per-address streams.
+    The flip-probability table `flip_table` (class, feature, level, bit) is
+    computed once, when the reader is made.
     """
 
     def __init__(self, state: ArrayState, op: OperatingPoint,
@@ -201,7 +201,9 @@ class MemristorReader:
         self._eps = self.flip_table.reshape(-1, WORD_BITS)
         # Addresses that cannot flip need no uniforms (u < 0 never holds).
         self._noisy = (self._eps > 0).any(axis=1)
-        self._read_index = np.zeros(len(self._codes), dtype=np.int64)
+        # Each address's stream, made at its first noisy read; its position
+        # is 8 x the address's read count.
+        self._streams: dict[int, np.random.Generator] = {}
 
     def __call__(self, class_id: int, feature: int, level: int) -> int:
         addr = int(np.ravel_multi_index((class_id, feature, level), self._shape))
@@ -212,7 +214,7 @@ class MemristorReader:
         index = tuple(np.asarray(a, dtype=np.intp) for a in (class_ids, features, levels))
         addrs = np.ravel_multi_index(index, self._shape)
         # A stable sort groups each address's reads and keeps them in
-        # sequence order, so the j-th of them is that address's next read + j.
+        # sequence order, so they take that address's next uniforms in turn.
         order = np.argsort(addrs, kind="stable")
         grouped = addrs[order]
         starts = np.flatnonzero(np.diff(grouped, prepend=-1))
@@ -224,16 +226,13 @@ class MemristorReader:
 
     def _read_run(self, addr: int, count: int) -> np.ndarray:
         """The next `count` reads of one address."""
-        k0 = int(self._read_index[addr])
-        self._read_index[addr] = k0 + count
         if not self._noisy[addr]:
             return np.full(count, self._codes[addr])
-        key = np.array([self.seed, addr], dtype=np.uint64)
-        # numpy's Philox increments its counter before each 4-value block,
-        # so counter k0 starts the draw at offset 4 * k0.
-        rng = np.random.Generator(np.random.Philox(key=key, counter=[k0, 0, 0, 0]))
-        blocks = rng.random(4 * (count + 1)).reshape(count + 1, 4)
-        flips = np.hstack([blocks[:-1], blocks[1:]]) < self._eps[addr]
+        stream = self._streams.get(addr)
+        if stream is None:
+            key = np.array([self.seed, addr], dtype=np.uint64)
+            stream = self._streams[addr] = np.random.Generator(np.random.Philox(key=key))
+        flips = stream.random((count, WORD_BITS)) < self._eps[addr]
         return self._codes[addr] ^ (flips @ _BIT_WEIGHTS)
 
 

@@ -349,8 +349,8 @@ def test_array_state_round_trip(tmp_path):
     assert noise_back.sigma_n_table == noise.sigma_n_table
 
 
-def test_reads_follow_the_noise_layout():
-    # read k of address a takes uniforms [4k, 4k + 8) of the (seed, a)
+def test_consecutive_reads_of_a_word_use_disjoint_uniforms():
+    # read k of address a takes uniforms [8k, 8k + 8) of the (seed, a)
     # Philox stream, one per bit, MSB first
     _, dists, noise = regime_preset("B")
     model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
@@ -360,7 +360,18 @@ def test_reads_follow_the_noise_layout():
     for address in ((0, 0, 0), (2, 1, 5), (3, 3, 7)):
         addr = int(np.ravel_multi_index(address, state.codes.shape))
         key = np.array([7, addr], dtype=np.uint64)
-        stream = np.random.Generator(np.random.Philox(key=key)).random(4 * n_reads + 4)
+        stream = np.random.Generator(np.random.Philox(key=key)).random(8 * n_reads)
         for k in range(n_reads):
-            flips = stream[4 * k:4 * k + 8] < reader.flip_table[address]
+            flips = stream[8 * k:8 * k + 8] < reader.flip_table[address]
             assert reader(*address) == int(bits_code(code_bits(state.codes[address]) ^ flips))
+
+
+def test_consecutive_reads_share_no_noise():
+    # at flip probability 1/2 a read's bits are its uniforms; if read k+1
+    # reused read k's last four uniforms as its first four, its high nibble
+    # would always equal read k's low nibble (chance level is 1/16)
+    state = program_arrays(_model_from_codes(np.zeros((4, 4, 8))), ZERO_SIGMA_DISTS, 2.0, seed=0)
+    reader = MemristorReader(state, OperatingPoint(1.2, 2.0), _FlatError(0.5), seed=3)
+    words = [reader(1, 2, 3) for _ in range(400)]
+    repeats = sum((a & 0x0F) == (b >> 4) for a, b in zip(words, words[1:]))
+    assert repeats / 399 < 0.15
