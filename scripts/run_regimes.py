@@ -2,10 +2,11 @@
 """Stress the wake-up system across the three shipped operating regimes.
 
 Trains the benchmark system once, then streams the same test split through
-arrays programmed and read at presets A (nominal), B (starved read supply),
-and C (starved programming compliance). Prints classification, wake, and
-energy numbers side by side; the point of the exercise is that the system
-column barely moves while the front-end column collapses.
+arrays programmed and read at presets A (nominal), B (programming supply
+lowered to 1.5 V) and C (read supply lowered to 0.8 V). Prints
+classification, wake, and energy numbers side by side; the point of the
+exercise is that the system column barely moves while the front-end column
+collapses.
 """
 
 import argparse

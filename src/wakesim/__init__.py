@@ -12,7 +12,9 @@ from .bayesfront import (
     ClassScores,
     IdealReader,
     LogCodec,
+    ScoreBatch,
     bayes_infer,
+    bayes_infer_many,
     decode_log,
     encode_log,
     fit_bayes_model,
@@ -68,6 +70,7 @@ from .mlpback import (
     TrainConfig,
     fit_backend,
     load_classifier,
+    mlp_forward,
     mlp_infer,
     quantize_mlp,
     save_classifier,
@@ -83,6 +86,7 @@ from .wakectl import (
     WakeReason,
     decide_wake,
     run_stream,
+    wake_reasons,
     wake_stats,
 )
 

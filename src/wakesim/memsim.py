@@ -12,6 +12,14 @@ probability of a bit is
 with margin = |log10(r_bl) - log10(r_blb)| of that pair, so weak pairs are
 persistently unreliable while strong pairs only fail at low vdd.
 
+Read noise is counter-based: every address (class, feature, level) owns a
+Philox stream keyed by (read seed, address), and read k of that address
+takes uniforms [8k, 8k + 8) of it, one per bit. Repeated reads of a word
+get disjoint noise, and the noise of a read does not depend on the order
+of reads to other addresses, so `MemristorReader.read_many` can serve a
+whole block of reads grouped by address and return exactly what the same
+sequence of single reads would.
+
 The shipped operating-regime presets are calibration constants chosen so the
 benchmark reproduces three qualitative regimes (healthy, relaxed
 programming, scaled supply). They are not measurements of any device.
@@ -206,8 +214,10 @@ class MemristorReader:
         self._streams: dict[int, np.random.Generator] = {}
 
     def __call__(self, class_id: int, feature: int, level: int) -> int:
-        addr = int(np.ravel_multi_index((class_id, feature, level), self._shape))
-        return int(self._read_run(addr, 1)[0])
+        n_classes, n_features, n_levels = self._shape
+        if not (0 <= class_id < n_classes and 0 <= feature < n_features and 0 <= level < n_levels):
+            raise IndexError(f"address {(class_id, feature, level)} outside {self._shape}")
+        return int(self._read_run((class_id * n_features + feature) * n_levels + level, 1)[0])
 
     def read_many(self, class_ids, features, levels) -> np.ndarray:
         """Words of a read sequence, in order; same as one call per read."""
