@@ -58,7 +58,6 @@ from .memsim import (
     load_array_state,
     margins,
     program_arrays,
-    read_word,
     regime_preset,
     save_array_state,
 )

@@ -218,9 +218,6 @@ class ScoreBatch:
     tie_with_normal: np.ndarray
     invalid: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.predicted)
-
     def __getitem__(self, i: int) -> ClassScores:
         return ClassScores(
             scores=tuple(self.scores[i].tolist()),

@@ -17,7 +17,7 @@ N_CELLS = 16
 
 # Beats per FFT batch. Stacking a whole split at once would hold its samples
 # and complex spectra (~26 MB for 3200 beats) at the same time; 256-beat
-# blocks keep that under 2 MB and cost nothing in speed.
+# blocks keep that under 2 MB.
 FFT_CHUNK = 256
 
 
@@ -34,14 +34,14 @@ def _spectra(samples: np.ndarray) -> np.ndarray:
     return spect.reshape(len(samples), FEATURE_LEN)
 
 
-def feature_chunks(beats, size: int = FFT_CHUNK):
-    """Yield (beats, mags) for consecutive blocks of at most `size` beats.
+def feature_chunks(beats):
+    """Yield (beats, mags) for consecutive blocks of at most FFT_CHUNK beats.
 
     `beats` may be any iterable; each block's FFT runs as one batched call,
     and its rows equal fft_features of the same beats bit for bit.
     """
     it = iter(beats)
-    while chunk := list(itertools.islice(it, size)):
+    while chunk := list(itertools.islice(it, FFT_CHUNK)):
         yield chunk, _spectra(np.stack([_samples(b) for b in chunk]))
 
 

@@ -167,17 +167,6 @@ def margins(state: ArrayState) -> np.ndarray:
     return np.abs(np.log10(state.r_bl) - np.log10(state.r_blb))
 
 
-def read_word(state: ArrayState, address: tuple[int, int, int], op: OperatingPoint,
-              error_model: ReadErrorModel, rng: np.random.Generator) -> int:
-    """One noisy read of the 8-bit word at (class, feature, level)."""
-    c, f, l = address
-    stored = code_bits(state.codes[c, f, l])
-    margin = np.abs(np.log10(state.r_bl[c, f, l]) - np.log10(state.r_blb[c, f, l]))
-    eps = error_model.flip_probability(margin, op.vdd)
-    flips = rng.random(WORD_BITS) < eps
-    return int(bits_code(stored ^ flips))
-
-
 class MemristorReader:
     """Word reader with schedule-invariant noise.
 

@@ -63,9 +63,9 @@ def test_batched_fft_equals_per_beat_features(bench_dataset):
     mags, labels = feature_matrix(beats)
     assert np.array_equal(mags, reference)
     assert labels.tolist() == [b.label for b in beats]
-    blocks = list(feature_chunks(iter(beats[:300]), size=7))
-    assert [len(chunk) for chunk, _ in blocks] == [7] * 42 + [6]
-    assert np.array_equal(np.concatenate([m for _, m in blocks]), reference[:300])
+    blocks = list(feature_chunks(iter(beats[:FFT_CHUNK + 44])))
+    assert [len(chunk) for chunk, _ in blocks] == [FFT_CHUNK, 44]
+    assert np.array_equal(np.concatenate([m for _, m in blocks]), reference[:FFT_CHUNK + 44])
 
 
 def test_flip_table_equals_per_read_flip_probability(bench_model):
@@ -99,12 +99,11 @@ def test_batched_inference_equals_bayes_infer(bench_model):
     for reader, twin in ((IdealReader(bench_model), IdealReader(bench_model)),
                          (_preset_reader(bench_model, "C"), _preset_reader(bench_model, "C"))):
         batch = bayes_infer_many(levels, bench_model, reader)
-        assert len(batch) == len(levels)
         for i, row in enumerate(levels):
             assert batch[i] == bayes_infer(row.tolist(), bench_model, twin)
         for policy in (WakePolicy(), WakePolicy(False, True, False), WakePolicy(True, False, True)):
             assert wake_reasons(batch, policy) == [decide_wake(batch[i], policy).reason
-                                                   for i in range(len(batch))]
+                                                   for i in range(len(levels))]
 
 
 def test_batched_backend_equals_mlp_infer_on_every_woken_beat(bench_backend, bench_test,

@@ -19,7 +19,6 @@ from wakesim.memsim import (
     load_array_state,
     margins,
     program_arrays,
-    read_word,
     regime_preset,
     save_array_state,
 )
@@ -213,11 +212,9 @@ def test_quiet_read_returns_stored_words():
 def test_certain_flip_reads_the_complement():
     codes = np.arange(128).reshape(4, 4, 8)
     state = program_arrays(_model_from_codes(codes), ZERO_SIGMA_DISTS, 2.0, seed=0)
-    op = OperatingPoint(1.2, 2.0)
-    rng = np.random.default_rng(0)
+    reader = MemristorReader(state, OperatingPoint(1.2, 2.0), _FlatError(1.0), seed=0)
     for addr in ((0, 0, 0), (1, 2, 3), (3, 3, 7)):
-        word = read_word(state, addr, op, _FlatError(1.0), rng)
-        assert word == codes[addr] ^ 0xFF
+        assert reader(*addr) == codes[addr] ^ 0xFF
 
 
 def test_half_flip_rate_is_half():
