@@ -16,7 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .artifacts import NUMBER, reading, typed, typed_list
 from .datapipe.beats import CLASS_NAMES, N_CLASSES
+from .datapipe.features import FEATURE_LEN
 from .datapipe.quantizers import QuantizerSpec, fit_quantizer, quantize
 from .errors import ReadFault
 
@@ -275,11 +277,27 @@ def save_bayes_model(path: str, model: BayesModel) -> None:
 
 
 def load_bayes_model(path: str) -> BayesModel:
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    codec = LogCodec(**doc["codec"])
-    quantizers = tuple(QuantizerSpec(**q) for q in doc["quantizers"])
-    class_names = tuple(doc["class_names"])
-    shape = (len(class_names), len(doc["feature_bins"]), N_LEVELS)
-    codes = np.array(doc["codes"], dtype=np.uint8).reshape(shape)
-    return BayesModel(tuple(doc["feature_bins"]), quantizers, codes, codec, class_names)
+    with reading(path, "bayes model"):
+        with open(path, "r") as fh:
+            doc = typed(json.load(fh), dict, "document")
+        codec_doc = typed(doc["codec"], dict, "codec")
+        codec = LogCodec(base=typed(codec_doc["base"], NUMBER, "codec.base"),
+                         scale=typed(codec_doc["scale"], int, "codec.scale"),
+                         width=typed(codec_doc["width"], int, "codec.width"))
+        bins = tuple(typed_list(doc["feature_bins"], int, "feature_bins"))
+        if not all(0 <= b < FEATURE_LEN for b in bins):
+            raise ValueError(f"feature_bins: a bin lies outside 0..{FEATURE_LEN - 1}")
+        quantizers = tuple(
+            QuantizerSpec(clip_lo=typed(q["clip_lo"], NUMBER, f"quantizers[{i}].clip_lo"),
+                          clip_hi=typed(q["clip_hi"], NUMBER, f"quantizers[{i}].clip_hi"),
+                          levels=typed(q["levels"], int, f"quantizers[{i}].levels"))
+            for i, q in enumerate(typed_list(doc["quantizers"], dict, "quantizers", len(bins)))
+        )
+        if any(q.levels != N_LEVELS for q in quantizers):
+            raise ValueError(f"quantizers: every quantizer needs {N_LEVELS} levels")
+        class_names = tuple(typed_list(doc["class_names"], str, "class_names"))
+        codes = np.array(typed_list(doc["codes"], int, "codes"), dtype=np.int64)
+        if ((codes < 0) | (codes > codec.code_max)).any():
+            raise ValueError(f"codes: a code lies outside 0..{codec.code_max}")
+        codes = codes.reshape(len(class_names), len(bins), N_LEVELS)
+        return BayesModel(bins, quantizers, codes, codec, class_names)

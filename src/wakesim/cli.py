@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -235,17 +236,10 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
     energy_rows = None
     if stats.p_wake_abnormal is not None and stats.p_wake_normal is not None:
         rates = energymodel.WakeRates(stats.p_wake_abnormal, stats.p_wake_normal)
-        breakdown = energymodel.e_avg(params, vdd_run, rates)
-        energy_rows = [{
-            "vdd": vdd_run,
-            "t_s": params.t_s,
-            "p_wake": energymodel.p_wake(rates, params.pi),
-            "e_fe": breakdown.front_end,
-            "e_mon": breakdown.monitoring,
-            "e_service_term": breakdown.service,
-            "e_avg": breakdown.total,
-            "e_baseline": energymodel.e_baseline(params, vdd_run),
-        }]
+        row = energymodel.sweep(params, [vdd_run], [params.t_s], lambda _vdd: rates).rows[0]
+        if row.failed:
+            raise WakesimError(row.error)
+        energy_rows = [{k: v for k, v in asdict(row).items() if k not in ("failed", "error")}]
 
     os.makedirs(out_dir, exist_ok=True)
     result.write_trace(os.path.join(out_dir, "trace.csv"))

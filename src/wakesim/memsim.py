@@ -28,11 +28,13 @@ programming, scaled supply). They are not measurements of any device.
 from __future__ import annotations
 
 import json
+import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
+from .artifacts import NUMBER, reading, typed, typed_list
 from .bayesfront import BayesModel
 
 WORD_BITS = 8
@@ -41,6 +43,10 @@ _BIT_WEIGHTS = 1 << np.arange(WORD_BITS - 1, -1, -1)
 
 VDD_RANGE = (0.5, 1.4)
 VDDR_RANGE = (1.0, 3.0)
+
+# erfc over an array: the flip table is computed once per reader, so a
+# Python-level loop over its 1024 entries is cheap.
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ class ReadErrorModel:
         sigma = self.sigma_n(vdd)
         if sigma == 0.0:
             return np.where(margin > 0, 0.0, 0.5)
-        return 0.5 * erfc(margin / (np.sqrt(2.0) * sigma))
+        return 0.5 * _erfc(margin / (np.sqrt(2.0) * sigma))
 
 
 def code_bits(codes) -> np.ndarray:
@@ -300,18 +306,26 @@ def save_array_state(path: str, state: ArrayState, op: OperatingPoint,
 
 
 def load_array_state(path: str) -> tuple[ArrayState, OperatingPoint, ReadErrorModel]:
-    with np.load(path, allow_pickle=False) as npz:
-        meta = json.loads(str(npz["meta"]))
+    with reading(path, "array state"):
+        # np.load takes anything that is not a zip or .npy file for a pickle.
+        if not zipfile.is_zipfile(path):
+            raise ValueError("not an .npz archive")
+        with np.load(path, allow_pickle=False) as npz:
+            r_bl, r_blb, codes = npz["r_bl"], npz["r_blb"], npz["codes"]
+            meta = typed(json.loads(str(npz["meta"])), dict, "meta")
+        if codes.ndim != 3 or not r_bl.shape == r_blb.shape == codes.shape + (WORD_BITS,):
+            raise ValueError(f"r_bl {r_bl.shape}, r_blb {r_blb.shape} and codes {codes.shape} disagree")
         state = ArrayState(
-            r_bl=npz["r_bl"],
-            r_blb=npz["r_blb"],
-            codes=npz["codes"].astype(np.uint8),
-            vddr=float(meta["vddr"]),
-            seed=int(meta["seed"]),
+            r_bl=r_bl,
+            r_blb=r_blb,
+            codes=codes.astype(np.uint8),
+            vddr=float(typed(meta["vddr"], NUMBER, "meta.vddr")),
+            seed=typed(meta["seed"], int, "meta.seed"),
         )
-    op = OperatingPoint(vdd=float(meta["vdd"]), vddr=float(meta["vddr"]),
-                        label=str(meta.get("label", "")))
-    error_model = ReadErrorModel(
-        sigma_n_table=tuple((float(v), float(s)) for v, s in meta["sigma_n_table"]),
-    )
-    return state, op, error_model
+        op = OperatingPoint(vdd=float(typed(meta["vdd"], NUMBER, "meta.vdd")), vddr=state.vddr,
+                            label=typed(meta.get("label", ""), str, "meta.label"))
+        error_model = ReadErrorModel(sigma_n_table=tuple(
+            tuple(float(x) for x in typed_list(pair, NUMBER, "meta.sigma_n_table entry", 2))
+            for pair in typed_list(meta["sigma_n_table"], list, "meta.sigma_n_table")
+        ))
+        return state, op, error_model

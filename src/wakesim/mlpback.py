@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import NULL, NUMBER, reading, typed, typed_list
+from .datapipe.features import FEATURE_LEN
 from .errors import TrainingDiverged
 
 HIDDEN_DIMS = (74, 100)
@@ -332,23 +334,42 @@ def save_classifier(path: str, clf: MlpClassifier) -> None:
 
 
 def load_classifier(path: str) -> MlpClassifier:
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    layers = []
-    for spec in doc["layers"]:
-        shape = tuple(spec["shape"])
-        layers.append(QuantLayer(
-            w_q=_unblob(spec["weights"], "int8", shape),
-            b_q=_unblob(spec["bias"], "<i4", (shape[0],)).astype(np.int32),
-            s_w=spec["s_w"],
-            s_in=spec["s_in"],
-            zp_in=spec["zp_in"],
-            s_out=spec["s_out"],
-            zp_out=spec["zp_out"],
-        ))
-    model = MlpModel(dims=tuple(doc["dims"]), layers=layers, activation=doc["activation"])
-    quantizer = InputQuantizer(
-        clip_lo=np.array(doc["input"]["clip_lo"], dtype=np.float64),
-        clip_hi=np.array(doc["input"]["clip_hi"], dtype=np.float64),
-    )
-    return MlpClassifier(doc["input"]["bins"], quantizer, model)
+    with reading(path, "mlp model"):
+        with open(path, "r") as fh:
+            doc = typed(json.load(fh), dict, "document")
+        dims = typed_list(doc["dims"], int, "dims")
+        if len(dims) < 2:
+            raise ValueError("dims needs an input and an output width")
+        if typed(doc["activation"], str, "activation") != "relu":
+            raise ValueError(f"activation {doc['activation']!r} is not relu")
+        input_doc = typed(doc["input"], dict, "input")
+        if (typed(input_doc["scale"], NUMBER, "input.scale") != INPUT_SCALE
+                or typed(input_doc["zero_point"], int, "input.zero_point") != INPUT_ZERO_POINT):
+            raise ValueError("input: scale and zero point differ from the int8 input encoding")
+        bins = typed_list(input_doc["bins"], int, "input.bins", dims[0])
+        if not all(0 <= b < FEATURE_LEN for b in bins):
+            raise ValueError(f"input.bins: a bin lies outside 0..{FEATURE_LEN - 1}")
+        clips = [np.array(typed_list(input_doc[key], NUMBER, f"input.{key}", dims[0]), dtype=np.float64)
+                 for key in ("clip_lo", "clip_hi")]
+        quantizer = InputQuantizer(clip_lo=clips[0], clip_hi=clips[1])
+        layer_docs = typed_list(doc["layers"], dict, "layers", len(dims) - 1)
+        layers = []
+        for i, layer_doc in enumerate(layer_docs):
+            where = f"layers[{i}]"
+            shape = tuple(typed_list(layer_doc["shape"], int, f"{where}.shape", 2))
+            if shape != (dims[i + 1], dims[i]):
+                raise ValueError(f"{where}.shape {list(shape)} does not match dims")
+            # The final layer keeps int32 logits, so it has no output scale.
+            last = i == len(layer_docs) - 1
+            bias = _unblob(typed(layer_doc["bias"], str, f"{where}.bias"), "<i4", (shape[0],))
+            layers.append(QuantLayer(
+                w_q=_unblob(typed(layer_doc["weights"], str, f"{where}.weights"), "int8", shape),
+                b_q=bias.astype(np.int32),
+                s_w=typed(layer_doc["s_w"], NUMBER, f"{where}.s_w"),
+                s_in=typed(layer_doc["s_in"], NUMBER, f"{where}.s_in"),
+                zp_in=typed(layer_doc["zp_in"], int, f"{where}.zp_in"),
+                s_out=typed(layer_doc["s_out"], NULL if last else NUMBER, f"{where}.s_out"),
+                zp_out=typed(layer_doc["zp_out"], NULL if last else int, f"{where}.zp_out"),
+            ))
+        model = MlpModel(dims=tuple(dims), layers=layers, activation="relu")
+        return MlpClassifier(bins, quantizer, model)

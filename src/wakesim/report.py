@@ -5,9 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 
+from .artifacts import NUMBER, reading, typed, typed_list
 from .datapipe.beats import CLASS_NAMES
 from .metrics import ConfusionMatrix, f1_per_class, macro_f1_abnormal
-from .wakectl import StreamResult, wake_stats
+from .wakectl import StreamResult, stats_from_counts
+
+_STREAM_SECTIONS = ("front_end", "system", "wake")
 
 
 def config_digest(config: dict) -> str:
@@ -28,6 +31,27 @@ def _classifier_section(cm: ConfusionMatrix) -> dict:
     }
 
 
+def _stream_sections(front: ConfusionMatrix, system: ConfusionMatrix,
+                     counts: dict[int, dict[str, int]], backend_errors: int) -> dict:
+    """The classifier and wake sections of a stream's confusions and wake counts."""
+    stats = stats_from_counts(counts)
+    return {
+        "front_end": _classifier_section(front),
+        "system": _classifier_section(system),
+        "wake": {
+            "p_wake_abnormal": stats.p_wake_abnormal,
+            "p_wake_normal": stats.p_wake_normal,
+            "reasons_by_class": {
+                CLASS_NAMES[c]: stats.reason_fractions[c] for c in stats.reason_fractions
+            },
+            "counts_by_class": {
+                CLASS_NAMES[c]: stats.counts[c] for c in stats.counts
+            },
+            "backend_errors": backend_errors,
+        },
+    }
+
+
 def build_report(stream: StreamResult | None = None, energy_rows: list[dict] | None = None,
                  config: dict | None = None, seeds: dict | None = None) -> dict:
     """Assemble the run report.
@@ -43,23 +67,51 @@ def build_report(stream: StreamResult | None = None, energy_rows: list[dict] | N
         "partial": stream is None or energy_rows is None,
     }
     if stream is not None:
-        stats = wake_stats(stream)
-        report["front_end"] = _classifier_section(stream.front_confusion())
-        report["system"] = _classifier_section(stream.system_confusion())
-        report["wake"] = {
-            "p_wake_abnormal": stats.p_wake_abnormal,
-            "p_wake_normal": stats.p_wake_normal,
-            "reasons_by_class": {
-                CLASS_NAMES[c]: stats.reason_fractions[c] for c in stats.reason_fractions
-            },
-            "counts_by_class": {
-                CLASS_NAMES[c]: stats.counts[c] for c in stats.counts
-            },
-            "backend_errors": stream.backend_errors,
-        }
+        report.update(_stream_sections(stream.front_confusion(), stream.system_confusion(),
+                                       stream.reason_counts(), stream.backend_errors))
     if energy_rows is not None:
         report["energy"] = energy_rows
     return report
+
+
+def _check_report(doc) -> None:
+    """Raise KeyError, TypeError or ValueError unless doc is a report build_report could write.
+
+    What build_report derives is derived again and must match: the config
+    digest from the config, and the classifier and wake sections from the
+    confusion matrices and wake counts they hold.
+    """
+    typed(doc, dict, "report")
+    digest = typed(doc["config_digest"], str, "config_digest")
+    if digest != config_digest(typed(doc["config"], dict, "config")):
+        raise ValueError("config_digest does not match config")
+    for name, seed in typed(doc["seeds"], dict, "seeds").items():
+        typed(seed, int, f"seeds.{name}")
+    has_stream = any(key in doc for key in _STREAM_SECTIONS)
+    if has_stream:
+        wake = typed(doc["wake"], dict, "wake")
+        by_class = typed(wake["counts_by_class"], dict, "wake.counts_by_class")
+        counts = {}
+        for c, name in enumerate(CLASS_NAMES):
+            counts[c] = typed(by_class[name], dict, f"wake.counts_by_class.{name}")
+            for reason, n in counts[c].items():
+                typed(n, int, f"wake.counts_by_class.{name}.{reason}")
+        rebuilt = _stream_sections(
+            ConfusionMatrix(typed(doc["front_end"], dict, "front_end")["confusion"]),
+            ConfusionMatrix(typed(doc["system"], dict, "system")["confusion"]),
+            counts, typed(wake["backend_errors"], int, "wake.backend_errors"))
+        for key in _STREAM_SECTIONS:
+            if dump_report(rebuilt[key]) != dump_report(doc[key]):
+                raise ValueError(f"{key} does not match the counts it holds")
+    if "energy" in doc:
+        rows = typed_list(doc["energy"], dict, "energy")
+        if not rows:
+            raise ValueError("energy has no rows")
+        for i, row in enumerate(rows):
+            for key, value in row.items():
+                typed(value, NUMBER, f"energy[{i}].{key}")
+    if typed(doc["partial"], bool, "partial") != (not has_stream or "energy" not in doc):
+        raise ValueError("partial does not match the sections present")
 
 
 def dump_report(report: dict) -> str:
@@ -73,8 +125,11 @@ def save_report(path: str, report: dict) -> None:
 
 
 def load_report(path: str) -> dict:
-    with open(path, "r") as fh:
-        return json.load(fh)
+    with reading(path, "report"):
+        with open(path, "r") as fh:
+            doc = json.load(fh)
+        _check_report(doc)
+    return doc
 
 
 def _fmt(x) -> str:

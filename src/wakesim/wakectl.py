@@ -215,7 +215,11 @@ class WakeStats:
 
 
 def wake_stats(result: StreamResult) -> WakeStats:
-    counts = result.reason_counts()
+    return stats_from_counts(result.reason_counts())
+
+
+def stats_from_counts(counts: dict[int, dict[str, int]]) -> WakeStats:
+    """WakeStats of reason counts per true class, as StreamResult.reason_counts gives them."""
     n_abnormal = sum(sum(counts[c].values()) for c in range(1, N_CLASSES))
     n_normal = sum(counts[0].values())
     wakes_abnormal = sum(

@@ -7,12 +7,19 @@ tests/test_acceptance.py.
 
 import csv
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
+import wakesim
 from wakesim.cli import main
 from wakesim.datapipe.beats import write_beats_csv
 from wakesim.datapipe.synthetic import synth_dataset
@@ -193,6 +200,128 @@ def test_corrupt_features_is_a_runtime_error(workspace, tmp_path):
     result = _invoke(["train", "--data", str(broken), "--out", str(tmp_path / "m")])
     assert result.exit_code == 4
     assert "wakesim: error: runtime:" in result.stderr
+
+
+def test_energy_curve_missing_the_run_supply_is_a_runtime_error(workspace, tmp_path):
+    paths, _ = workspace
+    conf = tmp_path / "curve.ini"
+    conf.write_text("[energy]\ne_fe_curve = 0.9:1e-9,1.0:2e-9\n")
+    result = _invoke([
+        "run", "--data", str(paths["data"]), "--bayes", str(paths["bayes"]),
+        "--mlp", str(paths["mlp"]), "--ideal", "--config", str(conf),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 4
+    assert result.stderr == "wakesim: error: runtime: vdd 1.2 outside e_fe curve range [0.9, 1.0]\n"
+
+
+def _loading(paths, artifact: str, path: Path) -> list[str]:
+    """The command that loads `artifact` from path and everything else from the workspace."""
+    if artifact == "report.json":
+        return ["report", str(path)]
+    files = {"bayes_model.json": paths["bayes"], "mlp_model.json": paths["mlp"],
+             "state.npz": paths["state"], artifact: path}
+    reader = ["--array-state", str(files["state.npz"])] if artifact == "state.npz" else ["--ideal"]
+    return ["run", "--data", str(paths["data"]), "--bayes", str(files["bayes_model.json"]),
+            "--mlp", str(files["mlp_model.json"]), *reader, "--out", str(path.parent / "out")]
+
+
+def _source(paths, artifact: str) -> Path:
+    return {"bayes_model.json": paths["bayes"], "mlp_model.json": paths["mlp"],
+            "report.json": paths["run_a"] / "report.json", "state.npz": paths["state"]}[artifact]
+
+
+def _assert_one_error_line(result, codes=(2, 3, 4)):
+    assert result.exit_code in codes, f"{result.output}\n{result.exception!r}"
+    assert re.fullmatch(r"wakesim: error: (config|data|runtime): [^\n]+\n", result.stderr), result.stderr
+
+
+@pytest.mark.parametrize("artifact, content", [
+    ("bayes_model.json", lambda doc: doc.pop("quantizers")),
+    ("mlp_model.json", lambda doc: doc["layers"][0].pop("s_w")),
+    ("report.json", {"hello": 1}),
+    ("report.json", [1, 2]),
+    ("state.npz", b"garbage, not an archive"),
+], ids=["bayes-no-quantizers", "mlp-no-s_w", "report-other-object", "report-list", "state-garbage"])
+def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path, artifact, content):
+    paths, _ = workspace
+    path = tmp_path / artifact
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif callable(content):
+        doc = json.loads(_source(paths, artifact).read_text())
+        content(doc)
+        path.write_text(json.dumps(doc))
+    else:
+        path.write_text(json.dumps(content))
+    result = _invoke(_loading(paths, artifact, path))
+    _assert_one_error_line(result, codes=(3,))
+    assert f"wakesim: error: data: {path}: malformed" in result.stderr
+
+
+def _json_kind(value) -> str:
+    for kind, types in (("bool", bool), ("number", (int, float)), ("string", str),
+                        ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
+def _locations(node, path=()):
+    """(path, value) of every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, paths, artifact):
+    """The bytes of `artifact` with one key deleted, one value's JSON type swapped or one list truncated."""
+    raw = _source(paths, artifact).read_bytes()
+    if artifact == "state.npz":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    doc = json.loads(raw)
+    locations = list(_locations(doc))
+    kind = draw(st.sampled_from(["delete", "swap", "truncate"]))
+    if kind == "delete":
+        # Seeds and energy rows are mappings build_report takes from its caller
+        # as given, so a report that lacks one of their keys is still valid.
+        locations = [(p, v) for p, v in locations if isinstance(p[-1], str)
+                     and not (artifact == "report.json" and p[0] in ("seeds", "energy") and len(p) > 1)]
+    elif kind == "truncate":
+        locations = [(p, v) for p, v in locations if isinstance(v, list) and v]
+    path, value = draw(st.sampled_from(locations))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "swap":
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in (None, True, 7, "x", [], {}) if _json_kind(v) != _json_kind(value)]))
+    else:
+        del value[draw(st.integers(0, len(value) - 1)):]
+    return json.dumps(doc).encode()
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_mutated_artifacts_follow_the_exit_code_contract(workspace, data):
+    paths, _ = workspace
+    artifact = data.draw(st.sampled_from(["bayes_model.json", "mlp_model.json", "report.json", "state.npz"]))
+    path = paths["ws"] / "fuzz" / artifact
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data.draw(_mutated(paths, artifact)))
+    _assert_one_error_line(_invoke(_loading(paths, artifact, path)))
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(wakesim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wakesim.cli; sys.exit('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bad_config_value_is_a_config_error(workspace, tmp_path):
