@@ -84,7 +84,9 @@ from .wakectl import (
     WakePolicy,
     WakeReason,
     decide_wake,
+    run_features,
     run_stream,
+    wake_codes,
     wake_reasons,
     wake_stats,
 )

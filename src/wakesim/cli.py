@@ -16,12 +16,16 @@ import click
 import numpy as np
 
 from . import bayesfront, config as cfg, energymodel, memsim, mlpback, report as reportmod
+from .artifacts import reading
 from .data import default_rates_fixture
 from .datapipe import beats as beatsmod
 from .datapipe import features as featmod
 from .datapipe.synthetic import synth_dataset
 from .errors import ConfigError, DataError, WakesimError
-from .wakectl import WakePolicy, run_stream, wake_stats
+from .wakectl import WakePolicy, run_features, wake_stats
+# The benchmark's tracer (perfbench/tracing.py) patches `run_stream` by this
+# name in this module, so the name stays importable from here.
+from .wakectl import run_stream  # noqa: F401
 
 
 def _fail(kind: str, message: str, code: int):
@@ -108,11 +112,31 @@ def prepare_data(out_dir, config_path, source, seed, beats_per_class, test_per_c
 
 
 def _load_features(data_dir: str):
+    """(train_mags, train_labels, test_mags, test_labels) of the feature cache.
+
+    Each split must hold an (n, FEATURE_LEN) matrix of finite, nonnegative
+    magnitudes and n integer labels in 0..N_CLASSES-1.
+    """
     path = os.path.join(data_dir, "features.npz")
     if not os.path.exists(path):
         raise DataError(f"{path} not found; run prepare-data first")
-    with np.load(path) as npz:
-        return (npz["train_mags"], npz["train_labels"], npz["test_mags"], npz["test_labels"])
+    arrays = []
+    with np.load(path) as npz, reading(path, "feature cache"):
+        for split in ("train", "test"):
+            mags, labels = npz[f"{split}_mags"], npz[f"{split}_labels"]
+            if mags.ndim != 2 or mags.shape[1] != featmod.FEATURE_LEN:
+                raise ValueError(f"{split}_mags has shape {mags.shape}, "
+                                 f"expected (n, {featmod.FEATURE_LEN})")
+            if labels.shape != (len(mags),):
+                raise ValueError(f"{split}_labels has shape {labels.shape}, expected ({len(mags)},)")
+            if not np.issubdtype(mags.dtype, np.floating) or not np.issubdtype(labels.dtype, np.integer):
+                raise TypeError(f"{split} arrays are {mags.dtype}/{labels.dtype}, expected float/int")
+            if not np.isfinite(mags).all() or (mags < 0).any():
+                raise ValueError(f"{split}_mags holds a negative or non-finite magnitude")
+            if len(labels) and not 0 <= labels.min() <= labels.max() < beatsmod.N_CLASSES:
+                raise ValueError(f"{split}_labels must lie in 0..{beatsmod.N_CLASSES - 1}")
+            arrays += [mags.astype(np.float64, copy=False), labels.astype(np.int64, copy=False)]
+    return tuple(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +235,7 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
         wake_on_ambiguous=cfg.get_bool(parser, "policy", "wake_on_ambiguous"),
         wake_on_invalid=cfg.get_bool(parser, "policy", "wake_on_invalid"),
     )
-    test_csv = os.path.join(data_dir, "test.csv")
-    if not os.path.exists(test_csv):
-        raise DataError(f"{test_csv} not found; run prepare-data first")
-    test_beats = beatsmod.read_beats_csv(test_csv)
+    _, _, test_mags, test_labels = _load_features(data_dir)
     model = bayesfront.load_bayes_model(bayes_path)
     clf = mlpback.load_classifier(mlp_path)
     if ideal:
@@ -227,7 +248,7 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
         reader = memsim.MemristorReader(state, op, noise, seed)
         regime = op.label or f"vdd={op.vdd},vddr={op.vddr}"
 
-    result = run_stream(test_beats, model, reader, clf, policy)
+    result = run_features(test_mags, test_labels, model, reader, clf, policy)
     stats = wake_stats(result)
 
     # Energy at the run's operating supply from the measured wake rates.

@@ -9,6 +9,22 @@ import numpy as np
 from .datapipe.beats import N_CLASSES
 
 
+def count_pairs(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
+    """(n_rows, n_cols) table counting each (rows[i], cols[i]) pair.
+
+    Raises ValueError when the sequences differ in length or a value falls
+    outside 0..n-1 for its axis.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ValueError(f"need two equal-length label sequences, got {rows.shape} and {cols.shape}")
+    for values, n in ((rows, n_rows), (cols, n_cols)):
+        if len(values) and not 0 <= values.min() <= values.max() < n:
+            raise ValueError(f"labels must lie in 0..{n - 1}, got {values.min()}..{values.max()}")
+    return np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+
+
 @dataclass
 class ConfusionMatrix:
     """Square count matrix, rows = true class, columns = predicted class."""
@@ -24,10 +40,7 @@ class ConfusionMatrix:
 
     @classmethod
     def from_pairs(cls, true_labels, predicted_labels, n_classes: int = N_CLASSES):
-        counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for t, p in zip(true_labels, predicted_labels, strict=True):
-            counts[t, p] += 1
-        return cls(counts)
+        return cls(count_pairs(true_labels, predicted_labels, n_classes, n_classes))
 
     @property
     def n_classes(self) -> int:

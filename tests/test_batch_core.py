@@ -1,20 +1,27 @@
 """The batch stream core against the per-beat, per-read reference paths.
 
-run_stream works on blocks of beats: one FFT call per block, one
-read_many per block, one integer forward pass for the woken rows. Every
-test here pins a batched step to the scalar API it replaces, which stays
-public: fft_features, MemristorReader(c, f, l), bayes_infer, decide_wake,
+run_features and run_stream work on blocks of beats: one FFT call per
+block (run_stream), one read_many per block, one integer forward pass for
+the woken rows, and a StreamResult of per-beat columns. Every test here
+pins a batched step to the scalar API it replaces, which stays public:
+fft_features, MemristorReader(c, f, l), bayes_infer, decide_wake,
 mlp_infer and backend.predict(beat, mags).
 """
 
+import csv
+from dataclasses import fields
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wakesim import memsim
 from wakesim.bayesfront import IdealReader, bayes_infer, bayes_infer_many
 from wakesim.datapipe.features import FFT_CHUNK, feature_chunks, feature_matrix, fft_features
 from wakesim.mlpback import mlp_forward, mlp_infer
-from wakesim.wakectl import WakePolicy, decide_wake, run_stream, wake_reasons
+from wakesim.report import build_report
+from wakesim.wakectl import (BeatOutcome, StreamResult, WakePolicy, decide_wake, run_features,
+                             run_stream, wake_reasons)
 
 # The seeds of the regime_streams fixture.
 PROGRAM_SEED = 5
@@ -163,3 +170,83 @@ def test_batch_and_per_beat_streams_agree(bench_dataset, bench_model, bench_back
         assert o.backend_error == failed
         if failed:
             assert o.system_pred == o.front_pred
+
+
+def _per_beat_outcomes(beats, model, reader, backend):
+    """The stream beat by beat through the scalar API, as a list of outcomes."""
+    outcomes = []
+    for beat in beats:
+        mags = fft_features(beat)
+        decision = decide_wake(bayes_infer(model.quantize_features(mags), model, reader))
+        system = backend.predict(beat, mags) if decision.wake else 0
+        outcomes.append(BeatOutcome(beat.label, decision.front_pred, decision.wake,
+                                    decision.reason, system))
+    return outcomes
+
+
+def _reference_trace(path, outcomes):
+    """The trace format written one row per outcome."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["beat", "true", "front_pred", "wake", "reason", "system_pred"])
+        for i, o in enumerate(outcomes):
+            writer.writerow([i, o.true_label, o.front_pred, int(o.wake),
+                             str(o.reason) if o.reason is not None else "none", o.system_pred])
+
+
+@pytest.mark.parametrize("n_beats", [0, 1, FFT_CHUNK - 1, FFT_CHUNK, FFT_CHUNK + 1])
+def test_columnar_core_equals_the_per_beat_reference(tmp_path, bench_dataset, bench_model,
+                                                     bench_backend, n_beats):
+    picks = np.random.default_rng(n_beats).choice(len(bench_dataset.test), n_beats, replace=False)
+    beats = [bench_dataset.test[i] for i in picks]
+    streams = {
+        "features": run_features(*feature_matrix(beats), bench_model,
+                                 _preset_reader(bench_model, "B"), bench_backend),
+        "beats": run_stream(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend),
+    }
+    outcomes = _per_beat_outcomes(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend)
+    reference = StreamResult.from_outcomes(outcomes)
+    _reference_trace(tmp_path / "reference.csv", outcomes)
+    for name, stream in streams.items():
+        for column in fields(StreamResult):
+            got, want = getattr(stream, column.name), getattr(reference, column.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, column.name)
+        assert stream.outcomes == outcomes
+        stream.write_trace(tmp_path / f"{name}.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert build_report(stream=stream) == build_report(stream=reference)
+    if n_beats == 0:
+        assert (tmp_path / "features.csv").read_bytes() == \
+            b"beat,true,front_pred,wake,reason,system_pred\r\n"
+        doc = build_report(stream=streams["features"])
+        assert doc["front_end"]["macro_f1_abnormal"] is None
+        assert set(doc["system"]["per_class_f1"].values()) == {None}
+        assert doc["wake"]["p_wake_abnormal"] is None
+
+
+class _RowFlakyBackend:
+    """predict_features fails on every call of more than one row and on the `bad` rows."""
+
+    def __init__(self, backend, bad):
+        self._backend = backend
+        self._bad = bad
+
+    def predict_features(self, mags_matrix):
+        if len(mags_matrix) > 1 or any(np.array_equal(mags_matrix[0], row) for row in self._bad):
+            raise RuntimeError("back end down")
+        return self._backend.predict_features(mags_matrix)
+
+
+def test_run_features_retries_a_failed_block_row_by_row(bench_test, bench_model, bench_backend):
+    mags, labels = bench_test
+    rows = np.flatnonzero(labels != 0)[::40]
+    mags, labels = mags[rows], labels[rows]
+    bad = mags[labels == 2]
+    healthy = run_features(mags, labels, bench_model, IdealReader(bench_model), bench_backend)
+    flaky = run_features(mags, labels, bench_model, IdealReader(bench_model),
+                         _RowFlakyBackend(bench_backend, bad))
+    failed = (healthy.reason != 0) & (labels == 2)
+    assert failed.any() and ((healthy.reason != 0) & (labels != 2)).any()
+    assert np.array_equal(flaky.backend_error, failed)
+    assert np.array_equal(flaky.system, np.where(failed, healthy.front, healthy.system))
+    assert flaky.backend_errors == failed.sum()

@@ -202,6 +202,60 @@ def test_corrupt_features_is_a_runtime_error(workspace, tmp_path):
     assert "wakesim: error: runtime:" in result.stderr
 
 
+def _run_args(paths, data, reader, out):
+    """The workspace's `run` command on another data directory."""
+    return ["run", "--data", str(data), "--bayes", str(paths["bayes"]), "--mlp", str(paths["mlp"]),
+            *reader, "--out", str(out)]
+
+
+def test_run_reads_the_feature_cache_not_the_csvs(workspace, tmp_path):
+    paths, _ = workspace
+    data = tmp_path / "data"
+    shutil.copytree(paths["data"], data)
+    (data / "test.csv").unlink()
+    (data / "train.csv").unlink()
+    readers = {"run_ideal": ["--ideal"], "run_a": ["--array-state", str(paths["state"]), "--seed", "7"]}
+    for run, reader in readers.items():
+        _ok(_run_args(paths, data, reader, tmp_path / run))
+        for name in ("report.json", "report.txt", "trace.csv"):
+            assert (tmp_path / run / name).read_bytes() == (paths[run] / name).read_bytes(), (run, name)
+
+
+def _malform(arrays: dict, case: str) -> None:
+    if case == "missing-train-labels":
+        del arrays["train_labels"]
+    elif case == "label-9":
+        arrays["test_labels"][3] = 9
+    elif case == "unequal-lengths":
+        arrays["train_labels"] = arrays["train_labels"][:-1]
+    elif case == "200-bins":
+        arrays["test_mags"] = arrays["test_mags"][:, :200]
+    elif case == "nan-magnitude":
+        arrays["train_mags"][5, 7] = np.nan
+    else:
+        arrays["test_mags"][2, 3] = -0.5
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+@pytest.mark.parametrize("case", ["missing-train-labels", "label-9", "unequal-lengths", "200-bins",
+                                  "nan-magnitude", "negative-magnitude"])
+def test_malformed_feature_cache_is_a_data_error(workspace, tmp_path, command, case):
+    paths, _ = workspace
+    data = tmp_path / "data"
+    data.mkdir()
+    with np.load(paths["data"] / "features.npz") as npz:
+        arrays = dict(npz)
+    _malform(arrays, case)
+    np.savez(data / "features.npz", **arrays)
+    if command == "train":
+        args = ["train", "--data", str(data), "--out", str(tmp_path / "m")]
+    else:
+        args = _run_args(paths, data, ["--ideal"], tmp_path / "out")
+    result = _invoke(args)
+    _assert_one_error_line(result, codes=(3,))
+    assert f"wakesim: error: data: {data / 'features.npz'}: malformed feature cache" in result.stderr
+
+
 def test_energy_curve_missing_the_run_supply_is_a_runtime_error(workspace, tmp_path):
     paths, _ = workspace
     conf = tmp_path / "curve.ini"

@@ -40,6 +40,12 @@ def test_from_pairs_counts_and_rejects_length_mismatch():
         ConfusionMatrix.from_pairs([0, 1], [0])
 
 
+@pytest.mark.parametrize("true, pred", [([-1, 0], [0, -2]), ([0, 4], [0, 1]), ([0, 1], [0, 4])])
+def test_from_pairs_rejects_labels_outside_the_classes(true, pred):
+    with pytest.raises(ValueError, match="0..3"):
+        ConfusionMatrix.from_pairs(true, pred)
+
+
 def test_normalized_rows_are_stochastic_and_empty_rows_stay_zero():
     cm = ConfusionMatrix(np.array([[3, 1, 0, 0],
                                    [0, 0, 0, 0],
@@ -143,7 +149,7 @@ def _cyclic_stream() -> StreamResult:
             front = c if i < 94 else wrong
             system = c if i < 99 else wrong
             outcomes.append(BeatOutcome(c, front, True, WakeReason.ABNORMAL, system))
-    return StreamResult(outcomes=outcomes)
+    return StreamResult.from_outcomes(outcomes)
 
 
 @pytest.fixture()
@@ -244,8 +250,8 @@ def test_render_report_contents(echo_report):
 
 def test_render_handles_missing_values():
     # normal-only stream: abnormal F1 undefined, abnormal wake rate undefined
-    stream = StreamResult(outcomes=[BeatOutcome(0, 0, False, None, 0)
-                                    for _ in range(10)])
+    stream = StreamResult.from_outcomes([BeatOutcome(0, 0, False, None, 0)
+                                          for _ in range(10)])
     text = render_report(build_report(stream=stream))
     assert "macro_f1_abnormal=--" in text
     assert "p(wake|abnormal)=--" in text

@@ -200,7 +200,7 @@ def test_wake_stats_reproduces_reference_rates_exactly():
     outcomes += [_outcome(0, None)] * 9812
     outcomes += [_outcome(0, WakeReason.AMBIGUOUS)] * 100
     outcomes += [_outcome(0, WakeReason.INVALID)] * 88
-    stats = wake_stats(StreamResult(outcomes))
+    stats = wake_stats(StreamResult.from_outcomes(outcomes))
     assert stats.p_wake_abnormal == 0.998
     assert stats.p_wake_normal == 0.0188
     assert stats.reason_fractions[1]["abnormal"] == 0.983
@@ -210,7 +210,7 @@ def test_wake_stats_reproduces_reference_rates_exactly():
 
 def test_all_abnormal_waked_gives_unit_rate():
     outcomes = [_outcome(c, WakeReason.ABNORMAL) for c in (1, 2, 3) for _ in range(5)]
-    stats = wake_stats(StreamResult(outcomes))
+    stats = wake_stats(StreamResult.from_outcomes(outcomes))
     assert stats.p_wake_abnormal == 1.0
     assert stats.p_wake_normal is None
 
