@@ -22,10 +22,7 @@ from .datapipe import beats as beatsmod
 from .datapipe import features as featmod
 from .datapipe.synthetic import synth_dataset
 from .errors import ConfigError, DataError, WakesimError
-from .wakectl import WakePolicy, run_features, wake_stats
-# The benchmark's tracer (perfbench/tracing.py) patches `run_stream` by this
-# name in this module, so the name stays importable from here.
-from .wakectl import run_stream  # noqa: F401
+from .wakectl import WakePolicy, run_stream, wake_stats
 
 
 def _fail(kind: str, message: str, code: int):
@@ -235,7 +232,10 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
         wake_on_ambiguous=cfg.get_bool(parser, "policy", "wake_on_ambiguous"),
         wake_on_invalid=cfg.get_bool(parser, "policy", "wake_on_invalid"),
     )
-    _, _, test_mags, test_labels = _load_features(data_dir)
+    test_csv = os.path.join(data_dir, "test.csv")
+    if not os.path.exists(test_csv):
+        raise DataError(f"{test_csv} not found; run prepare-data first")
+    test_beats = beatsmod.read_beats_csv(test_csv)
     model = bayesfront.load_bayes_model(bayes_path)
     clf = mlpback.load_classifier(mlp_path)
     if ideal:
@@ -248,7 +248,7 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
         reader = memsim.MemristorReader(state, op, noise, seed)
         regime = op.label or f"vdd={op.vdd},vddr={op.vddr}"
 
-    result = run_features(test_mags, test_labels, model, reader, clf, policy)
+    result = run_stream(test_beats, model, reader, clf, policy)
     stats = wake_stats(result)
 
     # Energy at the run's operating supply from the measured wake rates.

@@ -80,9 +80,9 @@ class BeatOutcome:
 
 # decide_wake's reasons by priority, indexed by reason code; code 0 is a sleep.
 _REASONS = (None, WakeReason.INVALID, WakeReason.ABNORMAL, WakeReason.AMBIGUOUS)
-_TRACE_REASONS = ("none", "invalid", "abnormal", "ambiguous")
+_TRACE_REASONS = tuple(str(r) if r else "none" for r in _REASONS)
 # reason_counts keys and the reason code each one counts.
-_COUNT_KEYS = {"sleep": 0, "abnormal": 2, "ambiguous": 3, "invalid": 1}
+_COUNT_KEYS = {"sleep": 0, **{str(r): _REASONS.index(r) for r in WakeReason}}
 
 
 def _empty_column(dtype=np.int64):

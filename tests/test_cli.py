@@ -202,25 +202,6 @@ def test_corrupt_features_is_a_runtime_error(workspace, tmp_path):
     assert "wakesim: error: runtime:" in result.stderr
 
 
-def _run_args(paths, data, reader, out):
-    """The workspace's `run` command on another data directory."""
-    return ["run", "--data", str(data), "--bayes", str(paths["bayes"]), "--mlp", str(paths["mlp"]),
-            *reader, "--out", str(out)]
-
-
-def test_run_reads_the_feature_cache_not_the_csvs(workspace, tmp_path):
-    paths, _ = workspace
-    data = tmp_path / "data"
-    shutil.copytree(paths["data"], data)
-    (data / "test.csv").unlink()
-    (data / "train.csv").unlink()
-    readers = {"run_ideal": ["--ideal"], "run_a": ["--array-state", str(paths["state"]), "--seed", "7"]}
-    for run, reader in readers.items():
-        _ok(_run_args(paths, data, reader, tmp_path / run))
-        for name in ("report.json", "report.txt", "trace.csv"):
-            assert (tmp_path / run / name).read_bytes() == (paths[run] / name).read_bytes(), (run, name)
-
-
 def _malform(arrays: dict, case: str) -> None:
     if case == "missing-train-labels":
         del arrays["train_labels"]
@@ -236,10 +217,9 @@ def _malform(arrays: dict, case: str) -> None:
         arrays["test_mags"][2, 3] = -0.5
 
 
-@pytest.mark.parametrize("command", ["train", "run"])
 @pytest.mark.parametrize("case", ["missing-train-labels", "label-9", "unequal-lengths", "200-bins",
                                   "nan-magnitude", "negative-magnitude"])
-def test_malformed_feature_cache_is_a_data_error(workspace, tmp_path, command, case):
+def test_malformed_feature_cache_is_a_data_error(workspace, tmp_path, case):
     paths, _ = workspace
     data = tmp_path / "data"
     data.mkdir()
@@ -247,11 +227,7 @@ def test_malformed_feature_cache_is_a_data_error(workspace, tmp_path, command, c
         arrays = dict(npz)
     _malform(arrays, case)
     np.savez(data / "features.npz", **arrays)
-    if command == "train":
-        args = ["train", "--data", str(data), "--out", str(tmp_path / "m")]
-    else:
-        args = _run_args(paths, data, ["--ideal"], tmp_path / "out")
-    result = _invoke(args)
+    result = _invoke(["train", "--data", str(data), "--out", str(tmp_path / "m")])
     _assert_one_error_line(result, codes=(3,))
     assert f"wakesim: error: data: {data / 'features.npz'}: malformed feature cache" in result.stderr
 
