@@ -44,6 +44,8 @@ class LogCodec:
             raise ValueError("base must lie strictly between 0 and 1")
         if self.scale < 1 or self.width < 1:
             raise ValueError("scale and width must be positive")
+        if self.width > 8:
+            raise ValueError("width must be at most 8: codes are stored as 8-bit words")
 
     @property
     def code_max(self) -> int:

@@ -8,6 +8,7 @@ failure. Errors print one machine-parsable line on stderr:
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -53,10 +54,13 @@ def main():
 # prepare-data
 # ---------------------------------------------------------------------------
 
+SOURCES = ("synthetic", "wfdb", "csv")
+
+
 @main.command("prepare-data")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--source", type=click.Choice(["synthetic", "wfdb", "csv"]), default=None)
+@click.option("--source", type=click.Choice(SOURCES), default=None)
 @click.option("--seed", type=int, default=None, help="Dataset seed (synthetic generation or split).")
 @click.option("--beats-per-class", type=int, default=None)
 @click.option("--test-per-class", type=int, default=None)
@@ -68,16 +72,22 @@ def main():
 def prepare_data(out_dir, config_path, source, seed, beats_per_class, test_per_class,
                  noise_sigma, wfdb_dir, train_csv, test_csv):
     """Build a dataset split and its feature cache."""
-    parser = cfg.load_config(config_path)
-    source = source or parser.get("dataset", "source")
-    seed = seed if seed is not None else cfg.get_int(parser, "dataset", "seed")
-    beats_per_class = beats_per_class if beats_per_class is not None else cfg.get_int(parser, "dataset", "beats_per_class")
-    test_per_class = test_per_class if test_per_class is not None else cfg.get_int(parser, "dataset", "test_per_class")
-    noise_sigma = noise_sigma if noise_sigma is not None else cfg.get_float(parser, "dataset", "noise_sigma")
+    parser = cfg.load_config(config_path, dataset=dict(
+        source=source, seed=seed, beats_per_class=beats_per_class,
+        test_per_class=test_per_class, noise_sigma=noise_sigma))
+    source = cfg.get(parser, "dataset", "source")
+    seed, beats_per_class, test_per_class = (
+        cfg.get(parser, "dataset", key, int) for key in ("seed", "beats_per_class", "test_per_class"))
+    noise_sigma = cfg.get(parser, "dataset", "noise_sigma", float)
+    for ok, rule in ((source in SOURCES, f"source must be one of {', '.join(SOURCES)}"),
+                     (beats_per_class >= 1, "beats_per_class must be at least 1"),
+                     (test_per_class >= 0, "test_per_class must be nonnegative"),
+                     (math.isfinite(noise_sigma) and noise_sigma >= 0,
+                      "noise_sigma must be finite and nonnegative")):
+        if not ok:
+            raise ConfigError(f"[dataset]: {rule}")
 
     if source == "synthetic":
-        if noise_sigma < 0:
-            raise ConfigError("noise_sigma must be nonnegative")
         ds = synth_dataset(seed, beats_per_class, noise_sigma, test_per_class)
     elif source == "wfdb":
         if wfdb_dir is None:
@@ -151,18 +161,9 @@ def _load_features(data_dir: str):
 @cli_errors
 def train(data_dir, out_dir, config_path, seed, epochs, lr, batch_size):
     """Fit the front-end code table and the int8 back end."""
-    parser = cfg.load_config(config_path)
-    codec = bayesfront.LogCodec(
-        base=cfg.get_float(parser, "codec", "base"),
-        scale=cfg.get_int(parser, "codec", "scale"),
-        width=cfg.get_int(parser, "codec", "width"),
-    )
-    train_config = mlpback.TrainConfig(
-        lr=lr if lr is not None else cfg.get_float(parser, "train", "lr"),
-        epochs=epochs if epochs is not None else cfg.get_int(parser, "train", "epochs"),
-        batch_size=batch_size if batch_size is not None else cfg.get_int(parser, "train", "batch_size"),
-        seed=seed if seed is not None else cfg.get_int(parser, "train", "seed"),
-    )
+    parser = cfg.load_config(config_path, train=dict(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed))
+    codec = cfg.settings(parser, "codec", bayesfront.LogCodec)
+    train_config = cfg.settings(parser, "train", mlpback.TrainConfig)
     train_mags, train_labels, test_mags, test_labels = _load_features(data_dir)
     ranked = featmod.chi2_rank(train_mags, train_labels)
 
@@ -192,11 +193,9 @@ def train(data_dir, out_dir, config_path, seed, epochs, lr, batch_size):
 @cli_errors
 def program(model_path, out_path, preset, config_path, seed):
     """Program the code table into a simulated resistive array."""
-    parser = cfg.load_config(config_path)
-    if preset is not None:
-        parser.set("operating_point", "preset", preset)
-    op, dists, noise = cfg.build_operating_setup(parser)
-    seed = seed if seed is not None else cfg.get_int(parser, "seeds", "program")
+    parser = cfg.load_config(config_path, seeds=dict(program=seed))
+    op, dists, noise = cfg.build_operating_setup(parser, preset)
+    seed = cfg.get(parser, "seeds", "program", int)
     model = bayesfront.load_bayes_model(model_path)
     state = memsim.program_arrays(model, dists, op.vddr, seed)
     memsim.save_array_state(out_path, state, op, noise)
@@ -225,13 +224,11 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
     """Stream the test split through the wake-up system."""
     if (state_path is None) == (not ideal):
         raise ConfigError("choose exactly one of --array-state or --ideal")
+    # --seed stays out of the parser, whose sections report.json records as config.
     parser = cfg.load_config(config_path)
-    seed = seed if seed is not None else cfg.get_int(parser, "seeds", "read")
-    policy = WakePolicy(
-        wake_on_abnormal=cfg.get_bool(parser, "policy", "wake_on_abnormal"),
-        wake_on_ambiguous=cfg.get_bool(parser, "policy", "wake_on_ambiguous"),
-        wake_on_invalid=cfg.get_bool(parser, "policy", "wake_on_invalid"),
-    )
+    if seed is None:
+        seed = cfg.get(parser, "seeds", "read", int)
+    policy = cfg.settings(parser, "policy", WakePolicy)
     test_csv = os.path.join(data_dir, "test.csv")
     if not os.path.exists(test_csv):
         raise DataError(f"{test_csv} not found; run prepare-data first")
@@ -252,7 +249,7 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
     stats = wake_stats(result)
 
     # Energy at the run's operating supply from the measured wake rates.
-    params = cfg.build_energy_params(parser)
+    params = cfg.settings(parser, "energy", energymodel.EnergyParams)
     vdd_run = params.vdd_nominal if ideal else op.vdd
     energy_rows = None
     if stats.p_wake_abnormal is not None and stats.p_wake_normal is not None:
@@ -274,9 +271,9 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(reportmod.render_report(doc))
 
-    front = doc["front_end"]["macro_f1_abnormal"]
-    system = doc["system"]["macro_f1_abnormal"]
-    click.echo(f"regime {regime}: front macro-F1 {front:.4f}, system macro-F1 {system:.4f}")
+    front = reportmod.fmt(doc["front_end"]["macro_f1_abnormal"])
+    system = reportmod.fmt(doc["system"]["macro_f1_abnormal"])
+    click.echo(f"regime {regime}: front macro-F1 {front}, system macro-F1 {system}")
     click.echo(
         f"p(wake|abnormal)={stats.p_wake_abnormal} p(wake|normal)={stats.p_wake_normal} "
         f"backend_errors={result.backend_errors}"
@@ -288,6 +285,16 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
 # sweep
 # ---------------------------------------------------------------------------
 
+def _grid(flag: str, text: str) -> list[float]:
+    try:
+        grid = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag}: non-numeric entry in {text!r}")
+    if not grid:
+        raise ConfigError(f"{flag}: empty grid")
+    return grid
+
+
 @main.command()
 @click.option("--rates", "rates_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Wake-rate CSV (vdd,vddr,p_wake_abn,p_wake_n); bundled table by default.")
@@ -298,20 +305,10 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
 @cli_errors
 def sweep(rates_path, vdd_list, ts_list, config_path, out_path):
     """Evaluate the energy model over a vdd x t_s grid."""
-    parser = cfg.load_config(config_path)
-    params = cfg.build_energy_params(parser)
+    params = cfg.settings(cfg.load_config(config_path), "energy", energymodel.EnergyParams)
     rates = energymodel.RatesTable.from_csv(rates_path or default_rates_fixture())
-    if vdd_list:
-        try:
-            vdd_grid = [float(v) for v in vdd_list.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"--vdd: non-numeric entry in {vdd_list!r}")
-    else:
-        vdd_grid = rates.vdds
-    try:
-        ts_grid = [float(v) for v in ts_list.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"--ts: non-numeric entry in {ts_list!r}")
+    vdd_grid = rates.vdds if vdd_list is None else _grid("--vdd", vdd_list)
+    ts_grid = _grid("--ts", ts_list)
     result = energymodel.sweep(params, vdd_grid, ts_grid, rates)
     energymodel.write_sweep_csv(out_path, result)
     for t_s in ts_grid:

@@ -1,14 +1,16 @@
 """INI-style configuration files shared by the CLI commands.
 
-Sections and keys are optional; command-line flags override file values.
-Tables (vdd-dependent parameters) use the compact `x:y,x:y` pair syntax.
+Settings come in three layers: command-line flags over the file over
+`DEFAULTS`. Values are read literally (no `%` interpolation). Tables
+(vdd-dependent parameters) use the compact `x:y,x:y` pair syntax.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
 
-from .energymodel import EnergyParams
 from .errors import ConfigError
 from .memsim import DeviceDistributions, OperatingPoint, ReadErrorModel, regime_preset
 
@@ -40,9 +42,18 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "seeds": {"program": "5", "read": "7"},
 }
 
+# The keys of an explicit operating point; any one of them replaces the preset.
+TABLE_KEYS = ("vdd", "vddr", "lrs_log10_mean", "lrs_log10_sigma",
+              "hrs_log10_mean", "hrs_log10_sigma", "sigma_n")
 
-def load_config(path: str | None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+
+def load_config(path: str | None, **flags: dict) -> configparser.ConfigParser:
+    """`DEFAULTS`, overlaid by the file at `path`, overlaid by `flags`.
+
+    Each keyword names a section and maps its keys to flag values; a value
+    of None is a flag that was not given and leaves the key as it was.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
     if path is not None:
         try:
@@ -52,6 +63,8 @@ def load_config(path: str | None) -> configparser.ConfigParser:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}")
+    parser.read_dict({section: {key: str(value) for key, value in values.items() if value is not None}
+                      for section, values in flags.items()})
     return parser
 
 
@@ -59,25 +72,35 @@ def config_as_dict(parser: configparser.ConfigParser) -> dict:
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def get_float(parser, section: str, key: str) -> float:
+_READERS = {str: ("get", "a string"), float: ("getfloat", "a number"), int: ("getint", "an integer"),
+            bool: ("getboolean", "a boolean")}
+
+
+def get(parser, section: str, key: str, kind=str):
+    """[section] key as `kind`: str, float, int, bool, or any other type for an x:y table."""
+    if kind not in _READERS:
+        return parse_table(parser.get(section, key), f"[{section}] {key}")
+    method, noun = _READERS[kind]
     try:
-        return parser.getfloat(section, key)
+        return getattr(parser, method)(section, key)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number ({exc})")
+        raise ConfigError(f"[{section}] {key}: not {noun} ({exc})")
 
 
-def get_int(parser, section: str, key: str) -> int:
+def settings(parser, section: str, cls, **extra):
+    """A `cls` dataclass from the [section] keys named like its fields.
+
+    Each key is read as its field's type hint; fields the section does not
+    set keep their defaults, and `extra` gives fields by value. A
+    ValueError from the class's own checks becomes a ConfigError.
+    """
+    hints = typing.get_type_hints(cls)
+    values = {f.name: get(parser, section, f.name, hints[f.name])
+              for f in dataclasses.fields(cls) if f.name not in extra and parser.has_option(section, f.name)}
     try:
-        return parser.getint(section, key)
+        return cls(**values, **extra)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer ({exc})")
-
-
-def get_bool(parser, section: str, key: str) -> bool:
-    try:
-        return parser.getboolean(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a boolean ({exc})")
+        raise ConfigError(f"[{section}]: {exc}")
 
 
 def parse_table(text: str, key: str = "") -> tuple[tuple[float, float], ...]:
@@ -99,53 +122,27 @@ def parse_table(text: str, key: str = "") -> tuple[tuple[float, float], ...]:
     return tuple(sorted(pairs))
 
 
-def build_energy_params(parser) -> EnergyParams:
-    sec = "energy"
-    curve = None
-    if parser.has_option(sec, "e_fe_curve"):
-        curve = parse_table(parser.get(sec, "e_fe_curve"), f"[{sec}] e_fe_curve")
-    try:
-        return EnergyParams(
-            e_fe_nominal=get_float(parser, sec, "e_fe_nominal"),
-            e_service=get_float(parser, sec, "e_service"),
-            p_mon_nominal=get_float(parser, sec, "p_mon_nominal"),
-            static_frac=get_float(parser, sec, "static_frac"),
-            vdd_nominal=get_float(parser, sec, "vdd_nominal"),
-            pi=get_float(parser, sec, "pi"),
-            t_s=get_float(parser, sec, "t_s"),
-            e_fe_curve=curve,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}]: {exc}")
+def build_operating_setup(parser, preset: str | None = None
+                          ) -> tuple[OperatingPoint, DeviceDistributions, ReadErrorModel]:
+    """The operating point of the [operating_point] tables, or else of a preset.
 
-
-def build_operating_setup(parser) -> tuple[OperatingPoint, DeviceDistributions, ReadErrorModel]:
-    """Resolve an operating point from a preset name or explicit tables."""
+    The tables win when the section sets any of `TABLE_KEYS`, and then all of
+    them are required. `preset` (the --preset flag) overrides the file's
+    preset and may not be given with tables.
+    """
     sec = "operating_point"
-    if parser.has_option(sec, "preset") and parser.get(sec, "preset").strip():
-        name = parser.get(sec, "preset").strip()
+    if not any(parser.has_option(sec, key) for key in TABLE_KEYS):
         try:
-            return regime_preset(name)
+            return regime_preset((parser.get(sec, "preset") if preset is None else preset).strip())
         except ValueError as exc:
             raise ConfigError(str(exc))
-    required = ("vdd", "vddr", "lrs_log10_mean", "lrs_log10_sigma",
-                "hrs_log10_mean", "hrs_log10_sigma", "sigma_n")
-    for key in required:
+    if preset is not None:
+        raise ConfigError(f"--preset {preset} conflicts with the explicit [{sec}] tables")
+    for key in TABLE_KEYS:
         if not parser.has_option(sec, key):
-            raise ConfigError(f"[{sec}] missing key {key!r} (or give preset=A|B|C)")
-    try:
-        op = OperatingPoint(
-            vdd=get_float(parser, sec, "vdd"),
-            vddr=get_float(parser, sec, "vddr"),
-            label=parser.get(sec, "label", fallback=""),
-        )
-        dists = DeviceDistributions(
-            lrs_log10_mean_table=parse_table(parser.get(sec, "lrs_log10_mean"), "lrs_log10_mean"),
-            lrs_log10_sigma_table=parse_table(parser.get(sec, "lrs_log10_sigma"), "lrs_log10_sigma"),
-            hrs_log10_mean=get_float(parser, sec, "hrs_log10_mean"),
-            hrs_log10_sigma=get_float(parser, sec, "hrs_log10_sigma"),
-        )
-        noise = ReadErrorModel(sigma_n_table=parse_table(parser.get(sec, "sigma_n"), "sigma_n"))
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}]: {exc}")
-    return op, dists, noise
+            raise ConfigError(f"[{sec}] missing key {key!r} (or set only preset=A|B|C)")
+    dists = settings(parser, sec, DeviceDistributions,
+                     lrs_log10_mean_table=get(parser, sec, "lrs_log10_mean", tuple),
+                     lrs_log10_sigma_table=get(parser, sec, "lrs_log10_sigma", tuple))
+    noise = settings(parser, sec, ReadErrorModel, sigma_n_table=get(parser, sec, "sigma_n", tuple))
+    return settings(parser, sec, OperatingPoint), dists, noise

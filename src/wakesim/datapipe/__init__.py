@@ -1,66 +1,1 @@
 """Beat ingestion, segmentation, spectral features, and quantizer fitting."""
-
-from .beats import (
-    BeatRecord,
-    CLASS_NAMES,
-    Dataset,
-    HALF_WINDOW,
-    N_CLASSES,
-    SAMPLE_RATE,
-    SEGMENT_LEN,
-    SYMBOL_TO_LABEL,
-    balanced_split,
-    ingest_wfdb_dir,
-    load_wfdb_record,
-    read_beats_csv,
-    read_manifest,
-    segment_beat,
-    write_beats_csv,
-    write_manifest,
-)
-from .features import (
-    BINS_PER_CHANNEL,
-    FEATURE_LEN,
-    cell_counts,
-    chi2_rank,
-    feature_matrix,
-    fft_features,
-    pearson_chi2,
-)
-from .quantizers import QuantizerSpec, fit_quantizer, quantize
-from .synthetic import CLASS_TONE_BINS, TONE_AMPLITUDES, synth_beat, synth_dataset
-from . import wfdb212
-
-__all__ = [
-    "BeatRecord",
-    "CLASS_NAMES",
-    "Dataset",
-    "HALF_WINDOW",
-    "N_CLASSES",
-    "SAMPLE_RATE",
-    "SEGMENT_LEN",
-    "SYMBOL_TO_LABEL",
-    "balanced_split",
-    "ingest_wfdb_dir",
-    "load_wfdb_record",
-    "read_beats_csv",
-    "read_manifest",
-    "segment_beat",
-    "write_beats_csv",
-    "write_manifest",
-    "BINS_PER_CHANNEL",
-    "FEATURE_LEN",
-    "cell_counts",
-    "chi2_rank",
-    "feature_matrix",
-    "fft_features",
-    "pearson_chi2",
-    "QuantizerSpec",
-    "fit_quantizer",
-    "quantize",
-    "CLASS_TONE_BINS",
-    "TONE_AMPLITUDES",
-    "synth_beat",
-    "synth_dataset",
-    "wfdb212",
-]

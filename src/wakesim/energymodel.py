@@ -152,8 +152,11 @@ class RatesTable:
                     vdd, row_vddr, p_abn, p_n = (float(v) for v in row)
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: non-numeric value") from exc
-                if vddr is None or row_vddr == vddr:
-                    rows.append((vdd, row_vddr, WakeRates(p_abn, p_n)))
+                if vddr is not None and row_vddr != vddr:
+                    continue
+                if any(abs(r[0] - vdd) < 1e-9 for r in rows):
+                    raise DataError(f"{path}:{lineno}: vdd {vdd:g} repeats; a table holds one row per vdd")
+                rows.append((vdd, row_vddr, WakeRates(p_abn, p_n)))
         if not rows:
             raise DataError(f"{path}: no usable rows")
         return cls(rows)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,14 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, not {self.lr}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, not {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, not {self.batch_size}")
 
 
 @dataclass(frozen=True)

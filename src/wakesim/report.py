@@ -132,7 +132,8 @@ def load_report(path: str) -> dict:
     return doc
 
 
-def _fmt(x) -> str:
+def fmt(x) -> str:
+    """A metric to four decimals, or `--` where it is undefined."""
     if x is None:
         return "--"
     return f"{x:.4f}"
@@ -147,15 +148,15 @@ def render_report(report: dict) -> str:
         if section not in report:
             continue
         sec = report[section]
-        lines.append(f"[{section}] accuracy={_fmt(sec.get('accuracy'))} "
-                     f"macro_f1_abnormal={_fmt(sec.get('macro_f1_abnormal'))}")
+        lines.append(f"[{section}] accuracy={fmt(sec.get('accuracy'))} "
+                     f"macro_f1_abnormal={fmt(sec.get('macro_f1_abnormal'))}")
         lines.append("  confusion (rows true, cols pred):")
         for name, row in zip(CLASS_NAMES, sec["confusion"]):
             lines.append("    " + name + " " + " ".join(f"{v:6d}" for v in row))
     if "wake" in report:
         wake = report["wake"]
-        lines.append(f"[wake] p(wake|abnormal)={_fmt(wake['p_wake_abnormal'])} "
-                     f"p(wake|normal)={_fmt(wake['p_wake_normal'])}")
+        lines.append(f"[wake] p(wake|abnormal)={fmt(wake['p_wake_abnormal'])} "
+                     f"p(wake|normal)={fmt(wake['p_wake_normal'])}")
         for name, reasons in wake["reasons_by_class"].items():
             if reasons is None:
                 lines.append(f"    {name}: no beats")

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import wakesim
 from wakesim.cli import main
-from wakesim.datapipe.beats import write_beats_csv
+from wakesim.datapipe.beats import read_beats_csv, write_beats_csv
 from wakesim.datapipe.synthetic import synth_dataset
 
 
@@ -361,6 +361,71 @@ def test_bad_config_value_is_a_config_error(workspace, tmp_path):
                       "--config", str(conf)])
     assert result.exit_code == 2
     assert "wakesim: error: config: [dataset] noise_sigma: not a number" in result.stderr
+
+
+_TABLES = ("[operating_point]\nvdd = 1.1\nvddr = 2.0\n"
+           "lrs_log10_mean = 1.0:5.995,2.0:4.8,3.0:3.8\nlrs_log10_sigma = 1.0:0.02,3.0:0.12\n"
+           "hrs_log10_mean = 6.0\nhrs_log10_sigma = 0.06\nsigma_n = 0.7:5.0,1.2:0.08\n")
+
+
+def _command(paths, tmp_path, name: str) -> list[str]:
+    """`name` run on the workspace, writing under tmp_path."""
+    return {
+        "prepare-data": ["prepare-data", "--out", str(tmp_path / "d")],
+        "train": ["train", "--data", str(paths["data"]), "--out", str(tmp_path / "m")],
+        "program": ["program", "--model", str(paths["bayes"]), "--out", str(tmp_path / "s.npz")],
+        "run": ["run", "--data", str(paths["data"]), "--bayes", str(paths["bayes"]),
+                "--mlp", str(paths["mlp"]), "--ideal", "--out", str(tmp_path / "r")],
+        "sweep": ["sweep", "--out", str(tmp_path / "s.csv")],
+    }[name]
+
+
+@pytest.mark.parametrize("name, conf, flags, message", [
+    ("train", "[codec]\nbase = 2\n", [], "[codec]: base must lie strictly between 0 and 1"),
+    ("train", "[codec]\nwidth = 9\n", [], "[codec]: width must be at most 8"),
+    ("train", "[train]\nbatch_size = 0\n", [], "[train]: batch_size must be at least 1"),
+    ("train", "[train]\nepochs = -3\n", [], "[train]: epochs must be nonnegative"),
+    ("train", "", ["--lr", "nan"], "[train]: lr must be finite and positive"),
+    ("prepare-data", "", ["--beats-per-class", "0"], "[dataset]: beats_per_class must be at least 1"),
+    ("prepare-data", "", ["--test-per-class", "-2"], "[dataset]: test_per_class must be nonnegative"),
+    ("prepare-data", "[dataset]\nsource = bogus\n", [], "[dataset]: source must be one of"),
+    ("run", "[policy]\nwake_on_abnormal = maybe\n", [], "[policy] wake_on_abnormal: not a boolean"),
+    ("run", "[energy]\npi = 2\n", [], "[energy]: pi must lie in [0, 1]"),
+    ("sweep", "[energy]\npi = 1%\n", [], "[energy] pi: not a number"),
+    ("sweep", "", ["--ts", ""], "--ts: empty grid"),
+    ("sweep", "", ["--vdd", ","], "--vdd: empty grid"),
+    ("program", _TABLES, ["--preset", "B"], "--preset B conflicts with the explicit [operating_point]"),
+    ("program", "[operating_point]\nvdd = 1.1\n", [], "[operating_point] missing key 'vddr'"),
+], ids=["codec-base", "codec-width", "batch-size", "epochs", "lr-nan", "beats-per-class",
+        "test-per-class", "source", "policy-bool", "pi-range", "percent", "empty-ts", "empty-vdd",
+        "preset-and-tables", "partial-tables"])
+def test_bad_setting_is_one_config_error_line(workspace, tmp_path, name, conf, flags, message):
+    paths, _ = workspace
+    args = _command(paths, tmp_path, name) + flags
+    if conf:
+        (tmp_path / "bad.ini").write_text(conf)
+        args += ["--config", str(tmp_path / "bad.ini")]
+    result = _invoke(args)
+    _assert_one_error_line(result, codes=(2,))
+    assert result.stderr.startswith(f"wakesim: error: config: {message}"), result.stderr
+
+
+def test_explicit_operating_point_tables_are_programmed(workspace, tmp_path):
+    paths, _ = workspace
+    (tmp_path / "op.ini").write_text(_TABLES)
+    result = _ok(_command(paths, tmp_path, "program") + ["--config", str(tmp_path / "op.ini")])
+    assert "programmed 128 words at vddr=2.0 (vdd=1.1," in result.output
+
+
+def test_run_without_abnormal_beats_echoes_undefined_f1(workspace, tmp_path):
+    paths, _ = workspace
+    data = tmp_path / "data"
+    data.mkdir()
+    normal = [b for b in read_beats_csv(paths["data"] / "test.csv") if b.label == 0]
+    write_beats_csv(data / "test.csv", normal)
+    result = _ok(["run", "--data", str(data), "--bayes", str(paths["bayes"]), "--mlp", str(paths["mlp"]),
+                  "--ideal", "--out", str(tmp_path / "out")])
+    assert "regime ideal: front macro-F1 --, system macro-F1 --" in result.output
 
 
 def test_unknown_subcommand_fails_with_usage(workspace):

@@ -197,6 +197,7 @@ def test_rates_table_vddr_filter(tmp_path):
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0\n", "expected 4 columns"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,one,0.1\n", "non-numeric"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n", "no usable rows"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,1.5,1.0,0.4\n1.0,2.4,1.0,0.1\n", r"bad.csv:3: vdd 1 repeats"),
 ])
 def test_rates_table_rejects_malformed_csv(tmp_path, text, message):
     path = tmp_path / "bad.csv"
