@@ -1,4 +1,4 @@
-"""Checked reads of the artifacts the CLI loads.
+"""The canonical JSON encoding of artifacts, and checked reads of them.
 
 Model files, array states and reports come from outside the program, so
 their loaders read inside `reading(path, what)`: a missing key, a value of
@@ -9,6 +9,7 @@ inside the loader or, later, from the code that uses what it loaded.
 
 from __future__ import annotations
 
+import json
 import zipfile
 from contextlib import contextmanager
 
@@ -16,6 +17,21 @@ from .errors import DataError
 
 NUMBER = (int, float)
 NULL = type(None)
+
+
+def dump_json(doc) -> str:
+    """Canonical serialization: alphabetical keys, fixed indentation, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def save_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        fh.write(dump_json(doc))
+
+
+def load_json(path):
+    with open(path, "r") as fh:
+        return json.load(fh)
 
 
 def typed(value, kind, what: str):

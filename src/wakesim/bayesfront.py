@@ -9,18 +9,18 @@ resolution and the inference is flagged invalid.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .artifacts import NUMBER, reading, typed, typed_list
+from .artifacts import NUMBER, load_json, reading, save_json, typed, typed_list
 from .datapipe.beats import CLASS_NAMES, N_CLASSES
 from .datapipe.features import FEATURE_LEN
 from .datapipe.quantizers import QuantizerSpec, fit_quantizer, quantize
 from .errors import ReadFault
+from .metrics import count_pairs
 
 N_FEATURES = 4
 N_LEVELS = 8
@@ -83,7 +83,6 @@ def fit_likelihoods(levels, labels, n_classes: int = N_CLASSES, n_levels: int = 
     Returns probabilities of shape (n_classes, n_features, n_levels).
     """
     levels = np.asarray(levels, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
     if levels.ndim != 2:
         raise ValueError("levels must be (n_beats, n_features)")
     if sigma <= 0:
@@ -92,13 +91,12 @@ def fit_likelihoods(levels, labels, n_classes: int = N_CLASSES, n_levels: int = 
     grid = np.arange(n_levels)
     kernel = np.exp(-((grid[:, None] - grid[None, :]) ** 2) / (2.0 * sigma * sigma))
     probs = np.empty((n_classes, n_features, n_levels))
-    for c in range(n_classes):
-        sel = levels[labels == c]
-        if len(sel) == 0:
-            raise ValueError(f"class {c} has no training beats")
-        for f in range(n_features):
-            counts = np.bincount(sel[:, f], minlength=n_levels).astype(np.float64)
-            smoothed = kernel @ counts
+    for f in range(n_features):
+        counts = count_pairs(labels, levels[:, f], n_classes, n_levels).astype(np.float64)
+        for c in range(n_classes):
+            if not counts[c].any():
+                raise ValueError(f"class {c} has no training beats")
+            smoothed = kernel @ counts[c]
             probs[c, f] = smoothed / smoothed.sum()
     return probs
 
@@ -132,12 +130,16 @@ class BayesModel:
         return self.quantize_matrix(np.asarray(mags)[None])[0].tolist()
 
     def quantize_matrix(self, mags) -> np.ndarray:
-        """Levels of the selected bins for a (n_beats, n_bins) feature matrix."""
-        mags = np.asarray(mags, dtype=np.float64)
-        levels = np.empty((len(mags), self.n_features), dtype=np.int64)
-        for j, (b, q) in enumerate(zip(self.feature_bins, self.quantizers)):
-            levels[:, j] = quantize(mags[:, b], q)
-        return levels
+        return bin_levels(mags, self.feature_bins, self.quantizers)
+
+
+def bin_levels(mags, bins, quantizers) -> np.ndarray:
+    """Levels of the selected bins for a (n_beats, n_bins) feature matrix, one column per bin."""
+    mags = np.asarray(mags, dtype=np.float64)
+    levels = np.empty((len(mags), len(bins)), dtype=np.int64)
+    for j, (b, q) in enumerate(zip(bins, quantizers)):
+        levels[:, j] = quantize(mags[:, b], q)
+    return levels
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,7 @@ def fit_bayes_model(mags, labels, ranked_bins, codec: LogCodec = LogCodec()) -> 
     if len(bins) < N_FEATURES:
         raise ValueError(f"need at least {N_FEATURES} ranked bins")
     quantizers = tuple(fit_quantizer(mags[:, b], labels, N_LEVELS) for b in bins)
-    levels = np.stack(
-        [quantize(mags[:, b], q) for b, q in zip(bins, quantizers)], axis=1
-    )
-    probs = fit_likelihoods(levels, labels)
+    probs = fit_likelihoods(bin_levels(mags, bins, quantizers), labels)
     codes = np.empty_like(probs, dtype=np.uint8)
     for idx, p in np.ndenumerate(probs):
         codes[idx] = encode_log(float(p), codec)
@@ -273,15 +272,12 @@ def save_bayes_model(path: str, model: BayesModel) -> None:
         "codes": [int(v) for v in model.codes.reshape(-1)],
         "class_names": list(model.class_names),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, doc)
 
 
 def load_bayes_model(path: str) -> BayesModel:
     with reading(path, "bayes model"):
-        with open(path, "r") as fh:
-            doc = typed(json.load(fh), dict, "document")
+        doc = typed(load_json(path), dict, "document")
         codec_doc = typed(doc["codec"], dict, "codec")
         codec = LogCodec(base=typed(codec_doc["base"], NUMBER, "codec.base"),
                          scale=typed(codec_doc["scale"], int, "codec.scale"),

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..artifacts import load_json, save_json
 from ..errors import DataError
 from . import wfdb212
 
@@ -160,13 +160,8 @@ def write_beats_csv(path: str, beats) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for b in beats:
-            row = [b.label, b.source_id, b.beat_index]
-            # repr of a Python float round-trips exactly; numpy scalar repr
-            # does not parse back, so coerce first.
-            row.extend(repr(float(v)) for v in b.samples[0])
-            row.extend(repr(float(v)) for v in b.samples[1])
-            writer.writerow(row)
+        writer.writerows([b.label, b.source_id, b.beat_index, *b.samples.ravel().tolist()]
+                         for b in beats)
 
 
 def read_beats_csv(path: str) -> list[BeatRecord]:
@@ -193,14 +188,11 @@ def write_manifest(path: str, dataset: Dataset) -> None:
         "test": [[b.source_id, b.beat_index] for b in dataset.test],
         "seed": dataset.seed,
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, manifest)
 
 
 def read_manifest(path: str) -> dict:
-    with open(path, "r") as fh:
-        manifest = json.load(fh)
+    manifest = load_json(path)
     for key in ("train", "test", "seed"):
         if key not in manifest:
             raise DataError(f"{path}: manifest missing key {key!r}")

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from ..metrics import count_pairs
 from .beats import SEGMENT_LEN
 
 # Magnitude bins 0..126 per channel, two channels.
@@ -100,8 +101,7 @@ def cell_counts(values, class_ids, n_classes: int, n_cells: int = N_CELLS) -> np
         cells = np.minimum(((values - lo) / (hi - lo) * n_cells).astype(np.int64), n_cells - 1)
     else:
         cells = np.zeros(len(values), dtype=np.int64)
-    flat = np.bincount(cells * n_classes + class_ids, minlength=n_cells * n_classes)
-    return flat.reshape(n_cells, n_classes)
+    return count_pairs(cells, class_ids, n_cells, n_classes)
 
 
 def chi2_rank(mags, labels) -> list[tuple[int, float]]:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..metrics import count_pairs
 from .features import pearson_chi2
 
 # Clip candidates searched during fitting, as percentiles of the training
@@ -54,7 +55,6 @@ def fit_quantizer(values, labels, levels: int = 8) -> QuantizerSpec:
     if v.min() == v.max():
         raise ValueError("degenerate feature: all values identical")
     classes, class_ids = np.unique(y, return_inverse=True)
-    n_classes = len(classes)
 
     best: QuantizerSpec | None = None
     best_key: tuple[float, float] | None = None
@@ -65,9 +65,7 @@ def fit_quantizer(values, labels, levels: int = 8) -> QuantizerSpec:
             if not lo < hi:
                 continue
             spec = QuantizerSpec(lo, hi, levels)
-            q = quantize(v, spec)
-            counts = np.bincount(q * n_classes + class_ids, minlength=levels * n_classes)
-            score = pearson_chi2(counts.reshape(levels, n_classes))
+            score = pearson_chi2(count_pairs(quantize(v, spec), class_ids, levels, len(classes)))
             key = (score, hi - lo)
             if best_key is None or key > best_key:
                 best, best_key = spec, key

@@ -16,13 +16,12 @@ logits stay int32 and the argmax (lowest index on ties) is the prediction.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import NULL, NUMBER, reading, typed, typed_list
+from .artifacts import NULL, NUMBER, load_json, reading, save_json, typed, typed_list
 from .datapipe.features import FEATURE_LEN
 from .errors import TrainingDiverged
 
@@ -337,15 +336,12 @@ def save_classifier(path: str, clf: MlpClassifier) -> None:
             for layer in clf.model.layers
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, doc)
 
 
 def load_classifier(path: str) -> MlpClassifier:
     with reading(path, "mlp model"):
-        with open(path, "r") as fh:
-            doc = typed(json.load(fh), dict, "document")
+        doc = typed(load_json(path), dict, "document")
         dims = typed_list(doc["dims"], int, "dims")
         if len(dims) < 2:
             raise ValueError("dims needs an input and an output width")

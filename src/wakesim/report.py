@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .artifacts import NUMBER, reading, typed, typed_list
+from .artifacts import NUMBER, dump_json, load_json, reading, save_json, typed, typed_list
 from .datapipe.beats import CLASS_NAMES
 from .metrics import ConfusionMatrix, f1_per_class, macro_f1_abnormal
 from .wakectl import StreamResult, stats_from_counts
@@ -101,7 +101,7 @@ def _check_report(doc) -> None:
             ConfusionMatrix(typed(doc["system"], dict, "system")["confusion"]),
             counts, typed(wake["backend_errors"], int, "wake.backend_errors"))
         for key in _STREAM_SECTIONS:
-            if dump_report(rebuilt[key]) != dump_report(doc[key]):
+            if dump_json(rebuilt[key]) != dump_json(doc[key]):
                 raise ValueError(f"{key} does not match the counts it holds")
     if "energy" in doc:
         rows = typed_list(doc["energy"], dict, "energy")
@@ -114,20 +114,13 @@ def _check_report(doc) -> None:
         raise ValueError("partial does not match the sections present")
 
 
-def dump_report(report: dict) -> str:
-    """Canonical serialization: alphabetical keys, fixed indentation."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
 def save_report(path: str, report: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_report(report))
+    save_json(path, report)
 
 
 def load_report(path: str) -> dict:
     with reading(path, "report"):
-        with open(path, "r") as fh:
-            doc = json.load(fh)
+        doc = load_json(path)
         _check_report(doc)
     return doc
 

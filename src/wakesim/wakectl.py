@@ -295,22 +295,15 @@ def wake_stats(result: StreamResult) -> WakeStats:
 
 def stats_from_counts(counts: dict[int, dict[str, int]]) -> WakeStats:
     """WakeStats of reason counts per true class, as StreamResult.reason_counts gives them."""
-    n_abnormal = sum(sum(counts[c].values()) for c in range(1, N_CLASSES))
-    n_normal = sum(counts[0].values())
-    wakes_abnormal = sum(
-        counts[c][k] for c in range(1, N_CLASSES) for k in ("abnormal", "ambiguous", "invalid")
-    )
-    wakes_normal = sum(counts[0][k] for k in ("abnormal", "ambiguous", "invalid"))
-    fractions: dict[int, dict[str, float] | None] = {}
-    for c in range(N_CLASSES):
-        total = sum(counts[c].values())
-        if total == 0:
-            fractions[c] = None
-        else:
-            fractions[c] = {k: v / total for k, v in counts[c].items()}
+    beats = [sum(counts[c].values()) for c in range(N_CLASSES)]
+    # A class's wakes are its beats that did not sleep.
+    wakes = [beats[c] - counts[c]["sleep"] for c in range(N_CLASSES)]
+    n_abnormal = sum(beats[1:])
+    fractions = {c: {k: v / beats[c] for k, v in counts[c].items()} if beats[c] else None
+                 for c in range(N_CLASSES)}
     return WakeStats(
-        p_wake_abnormal=wakes_abnormal / n_abnormal if n_abnormal else None,
-        p_wake_normal=wakes_normal / n_normal if n_normal else None,
+        p_wake_abnormal=sum(wakes[1:]) / n_abnormal if n_abnormal else None,
+        p_wake_normal=wakes[0] / beats[0] if beats[0] else None,
         reason_fractions=fractions,
         counts=counts,
     )

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from wakesim.artifacts import dump_json
 from wakesim.metrics import ConfusionMatrix, f1_per_class, macro_f1_abnormal
 from wakesim.report import (
     build_report,
     config_digest,
-    dump_report,
     load_report,
     render_report,
     save_report,
@@ -218,10 +218,10 @@ def test_config_digest_is_order_independent():
 
 
 def test_dump_report_is_byte_stable(echo_report):
-    text = dump_report(echo_report)
+    text = dump_json(echo_report)
     assert text.endswith("\n")
     shuffled = dict(reversed(list(echo_report.items())))
-    assert dump_report(shuffled) == text
+    assert dump_json(shuffled) == text
     assert json.loads(text)["front_end"]["macro_f1_abnormal"] == 0.94
 
 
@@ -229,7 +229,7 @@ def test_save_load_round_trip(tmp_path, echo_report):
     path = tmp_path / "report.json"
     save_report(path, echo_report)
     assert load_report(path) == echo_report
-    assert path.read_text() == dump_report(echo_report)
+    assert path.read_text() == dump_json(echo_report)
 
 
 # ---------------------------------------------------------------------------
