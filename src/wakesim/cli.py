@@ -11,7 +11,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import click
 import numpy as np
@@ -80,6 +80,7 @@ def prepare_data(out_dir, config_path, source, seed, beats_per_class, test_per_c
         cfg.get(parser, "dataset", key, int) for key in ("seed", "beats_per_class", "test_per_class"))
     noise_sigma = cfg.get(parser, "dataset", "noise_sigma", float)
     for ok, rule in ((source in SOURCES, f"source must be one of {', '.join(SOURCES)}"),
+                     (seed >= 0, "seed must be nonnegative"),
                      (beats_per_class >= 1, "beats_per_class must be at least 1"),
                      (test_per_class >= 0, "test_per_class must be nonnegative"),
                      (math.isfinite(noise_sigma) and noise_sigma >= 0,
@@ -174,9 +175,10 @@ def train(data_dir, out_dir, config_path, seed, epochs, lr, batch_size):
     bayesfront.save_bayes_model(os.path.join(out_dir, "bayes_model.json"), model)
     mlpback.save_classifier(os.path.join(out_dir, "mlp_model.json"), clf)
 
-    mlp_acc = float(np.mean(clf.predict_features(test_mags) == test_labels))
+    mlp_acc = (float(np.mean(clf.predict_features(test_mags) == test_labels))
+               if len(test_labels) else None)
     click.echo(f"front-end bins {list(model.feature_bins)}")
-    click.echo(f"back-end int8 test accuracy {mlp_acc:.4f}")
+    click.echo(f"back-end int8 test accuracy {reportmod.fmt(mlp_acc)}")
     click.echo(f"models -> {out_dir}")
 
 
@@ -196,6 +198,8 @@ def program(model_path, out_path, preset, config_path, seed):
     parser = cfg.load_config(config_path, seeds=dict(program=seed))
     op, dists, noise = cfg.build_operating_setup(parser, preset)
     seed = cfg.get(parser, "seeds", "program", int)
+    if seed < 0:
+        raise ConfigError("[seeds] program: must be nonnegative")
     model = bayesfront.load_bayes_model(model_path)
     state = memsim.program_arrays(model, dists, op.vddr, seed)
     memsim.save_array_state(out_path, state, op, noise)
@@ -292,6 +296,8 @@ def _grid(flag: str, text: str) -> list[float]:
         raise ConfigError(f"{flag}: non-numeric entry in {text!r}")
     if not grid:
         raise ConfigError(f"{flag}: empty grid")
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(f"{flag}: non-finite entry in {text!r}")
     return grid
 
 
@@ -309,6 +315,11 @@ def sweep(rates_path, vdd_list, ts_list, config_path, out_path):
     rates = energymodel.RatesTable.from_csv(rates_path or default_rates_fixture())
     vdd_grid = rates.vdds if vdd_list is None else _grid("--vdd", vdd_list)
     ts_grid = _grid("--ts", ts_list)
+    for t_s in ts_grid:
+        try:
+            replace(params, t_s=t_s)
+        except ValueError as exc:
+            raise ConfigError(f"--ts: {exc}")
     result = energymodel.sweep(params, vdd_grid, ts_grid, rates)
     energymodel.write_sweep_csv(out_path, result)
     for t_s in ts_grid:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
 
 from .errors import ConfigError
@@ -117,6 +118,8 @@ def parse_table(text: str, key: str = "") -> tuple[tuple[float, float], ...]:
             pairs.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise ConfigError(f"{key}: non-numeric pair {chunk!r}")
+        if not all(map(math.isfinite, pairs[-1])):
+            raise ConfigError(f"{key}: non-finite pair {chunk!r}")
     if not pairs:
         raise ConfigError(f"{key}: empty table")
     return tuple(sorted(pairs))

@@ -183,14 +183,17 @@ def read_header(text: str) -> dict:
         gain, baseline = 200.0, 1024.0
         if len(fields) >= 3:
             gfield = fields[2].split("/")[0]
-            if "(" in gfield:
-                gpart, bpart = gfield.split("(")
-                gain = float(gpart) if gpart else 200.0
-                baseline = float(bpart.rstrip(")"))
-            elif gfield:
-                gain = float(gfield)
-                if len(fields) >= 5:
-                    baseline = float(fields[4])
+            try:
+                if "(" in gfield:
+                    gpart, bpart = gfield.split("(")
+                    gain = float(gpart) if gpart else 200.0
+                    baseline = float(bpart.rstrip(")"))
+                elif gfield:
+                    gain = float(gfield)
+                    if len(fields) >= 5:
+                        baseline = float(fields[4])
+            except ValueError as exc:
+                raise ParseError(f"malformed signal line: {ln!r}") from exc
         if gain == 0:
             gain = 200.0
         signals.append({"file": fields[0], "format": fmt, "gain": gain, "baseline": baseline})

@@ -16,6 +16,7 @@ times in seconds.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,12 +38,13 @@ class EnergyParams:
     e_fe_curve: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        # Written so that NaN fails every check.
         for name in ("e_fe_nominal", "e_service", "p_mon_nominal", "vdd_nominal"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         # t_s = 0 is a legal degenerate point (back-to-back monitoring).
-        if self.t_s < 0:
-            raise ValueError("t_s must be nonnegative")
+        if not 0 <= self.t_s < math.inf:
+            raise ValueError("t_s must be finite and nonnegative")
         if not 0.0 <= self.pi <= 1.0:
             raise ValueError("pi must lie in [0, 1]")
         if not 0.0 <= self.static_frac <= 1.0:
@@ -152,11 +154,17 @@ class RatesTable:
                     vdd, row_vddr, p_abn, p_n = (float(v) for v in row)
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: non-numeric value") from exc
+                if not (math.isfinite(vdd) and math.isfinite(row_vddr)):
+                    raise DataError(f"{path}:{lineno}: vdd and vddr must be finite")
+                try:
+                    rates = WakeRates(p_abn, p_n)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
                 if vddr is not None and row_vddr != vddr:
                     continue
                 if any(abs(r[0] - vdd) < 1e-9 for r in rows):
                     raise DataError(f"{path}:{lineno}: vdd {vdd:g} repeats; a table holds one row per vdd")
-                rows.append((vdd, row_vddr, WakeRates(p_abn, p_n)))
+                rows.append((vdd, row_vddr, rates))
         if not rows:
             raise DataError(f"{path}: no usable rows")
         return cls(rows)

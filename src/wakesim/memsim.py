@@ -85,13 +85,16 @@ class DeviceDistributions:
     hrs_log10_sigma: float
 
     def __post_init__(self):
-        if self.hrs_log10_sigma < 0:
-            raise ValueError("hrs sigma must be nonnegative")
+        # Written so that NaN fails every check.
+        if not math.isfinite(self.hrs_log10_mean):
+            raise ValueError("hrs mean must be finite")
+        if not 0 <= self.hrs_log10_sigma < math.inf:
+            raise ValueError("hrs sigma must be finite and nonnegative")
         for _, s in self.lrs_log10_sigma_table:
-            if s < 0:
+            if not s >= 0:
                 raise ValueError("lrs sigma must be nonnegative")
         for v, m in self.lrs_log10_mean_table:
-            if m >= self.hrs_log10_mean:
+            if not m < self.hrs_log10_mean:
                 raise ValueError(f"lrs mean {m} at vddr={v} not below hrs mean {self.hrs_log10_mean}")
 
     def lrs_log10_mean(self, vddr: float) -> float:
@@ -110,7 +113,7 @@ class ReadErrorModel:
     def __post_init__(self):
         prev = None
         for v, s in self.sigma_n_table:
-            if s < 0:
+            if not s >= 0:
                 raise ValueError("sigma_n must be nonnegative")
             if prev is not None and s > prev:
                 raise ValueError("sigma_n must be nonincreasing in vdd")

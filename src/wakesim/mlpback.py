@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be nonnegative, not {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, not {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -396,9 +396,22 @@ def _command(paths, tmp_path, name: str) -> list[str]:
     ("sweep", "", ["--vdd", ","], "--vdd: empty grid"),
     ("program", _TABLES, ["--preset", "B"], "--preset B conflicts with the explicit [operating_point]"),
     ("program", "[operating_point]\nvdd = 1.1\n", [], "[operating_point] missing key 'vddr'"),
+    ("sweep", "[energy]\ne_service = nan\n", [], "[energy]: e_service must be finite and positive"),
+    ("program", _TABLES.replace("hrs_log10_sigma = 0.06", "hrs_log10_sigma = nan"), [],
+     "[operating_point]: hrs sigma must be finite and nonnegative"),
+    ("program", _TABLES.replace("sigma_n = 0.7:5.0", "sigma_n = 0.7:nan"), [],
+     "[operating_point] sigma_n: non-finite pair '0.7:nan'"),
+    ("sweep", "", ["--ts=-1"], "--ts: t_s must be finite and nonnegative"),
+    ("sweep", "", ["--ts", "nan"], "--ts: non-finite entry in 'nan'"),
+    ("sweep", "", ["--ts", "inf"], "--ts: non-finite entry in 'inf'"),
+    ("sweep", "", ["--vdd", "1.0,nan"], "--vdd: non-finite entry in '1.0,nan'"),
+    ("prepare-data", "", ["--seed", "-1"], "[dataset]: seed must be nonnegative"),
+    ("train", "", ["--seed", "-1"], "[train]: seed must be nonnegative"),
+    ("program", "", ["--seed", "-1"], "[seeds] program: must be nonnegative"),
 ], ids=["codec-base", "codec-width", "batch-size", "epochs", "lr-nan", "beats-per-class",
         "test-per-class", "source", "policy-bool", "pi-range", "percent", "empty-ts", "empty-vdd",
-        "preset-and-tables", "partial-tables"])
+        "preset-and-tables", "partial-tables", "e-service-nan", "hrs-sigma-nan", "table-nan",
+        "ts-negative", "ts-nan", "ts-inf", "vdd-nan", "dataset-seed", "train-seed", "program-seed"])
 def test_bad_setting_is_one_config_error_line(workspace, tmp_path, name, conf, flags, message):
     paths, _ = workspace
     args = _command(paths, tmp_path, name) + flags
@@ -426,6 +439,13 @@ def test_run_without_abnormal_beats_echoes_undefined_f1(workspace, tmp_path):
     result = _ok(["run", "--data", str(data), "--bayes", str(paths["bayes"]), "--mlp", str(paths["mlp"]),
                   "--ideal", "--out", str(tmp_path / "out")])
     assert "regime ideal: front macro-F1 --, system macro-F1 --" in result.output
+
+
+def test_train_on_an_empty_test_split_echoes_undefined_accuracy(tmp_path):
+    _ok(["prepare-data", "--out", str(tmp_path / "d"), "--beats-per-class", "20", "--test-per-class", "0"])
+    result = _ok(["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "m"), "--epochs", "2"])
+    assert "back-end int8 test accuracy --" in result.output
+    assert result.stderr == ""
 
 
 def test_unknown_subcommand_fails_with_usage(workspace):

@@ -42,6 +42,9 @@ RATES_C = WakeRates(1.0, 0.773)
     {"pi": 1.5},
     {"pi": -0.01},
     {"static_frac": 1.01},
+    {"e_service": float("nan")},
+    {"t_s": float("nan")},
+    {"t_s": float("inf")},
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
@@ -198,6 +201,10 @@ def test_rates_table_vddr_filter(tmp_path):
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,one,0.1\n", "non-numeric"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n", "no usable rows"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,1.5,1.0,0.4\n1.0,2.4,1.0,0.1\n", r"bad.csv:3: vdd 1 repeats"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.5,0.1\n", r"bad.csv:2: p_wake_abn=1.5 outside \[0, 1\]"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0,nan\n", r"bad.csv:2: p_wake_n=nan outside \[0, 1\]"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\nnan,2.4,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,inf,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite"),
 ])
 def test_rates_table_rejects_malformed_csv(tmp_path, text, message):
     path = tmp_path / "bad.csv"

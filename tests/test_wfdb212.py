@@ -204,3 +204,5 @@ def test_read_header_errors():
         read_header("100 2 360 650000\n100.dat 212\n")
     with pytest.raises(ParseError, match="malformed signal"):
         read_header("100 1 360 650000\n100.dat\n")
+    with pytest.raises(ParseError, match="malformed signal"):
+        read_header("100 1 360 650000\n100.dat 212 2OO(1024)/mV\n")
