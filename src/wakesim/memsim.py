@@ -86,8 +86,6 @@ class DeviceDistributions:
 
     def __post_init__(self):
         # Written so that NaN fails every check.
-        if not math.isfinite(self.hrs_log10_mean):
-            raise ValueError("hrs mean must be finite")
         if not 0 <= self.hrs_log10_sigma < math.inf:
             raise ValueError("hrs sigma must be finite and nonnegative")
         for _, s in self.lrs_log10_sigma_table:
