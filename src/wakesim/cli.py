@@ -314,6 +314,8 @@ def sweep(rates_path, vdd_list, ts_list, config_path, out_path):
     params = cfg.settings(cfg.load_config(config_path), "energy", energymodel.EnergyParams)
     rates = energymodel.RatesTable.from_csv(rates_path or default_rates_fixture())
     vdd_grid = rates.vdds if vdd_list is None else _grid("--vdd", vdd_list)
+    if vdd_list is not None and min(vdd_grid) <= 0:
+        raise ConfigError(f"--vdd: {min(vdd_grid):g} is not positive")
     ts_grid = _grid("--ts", ts_list)
     for t_s in ts_grid:
         try:
@@ -321,9 +323,13 @@ def sweep(rates_path, vdd_list, ts_list, config_path, out_path):
         except ValueError as exc:
             raise ConfigError(f"--ts: {exc}")
     result = energymodel.sweep(params, vdd_grid, ts_grid, rates)
+    bests = [result.argmin(t_s) for t_s in ts_grid]
+    for row in result.rows:
+        if row.failed:
+            click.echo(f"wakesim: warning: sweep point vdd={row.vdd:g} t_s={row.t_s:g} "
+                       f"failed: {row.error}", err=True)
     energymodel.write_sweep_csv(out_path, result)
-    for t_s in ts_grid:
-        best = result.argmin(t_s)
+    for t_s, best in zip(ts_grid, bests):
         ratio = best.e_baseline / best.e_avg
         click.echo(
             f"t_s={t_s:g}: argmin vdd={best.vdd:g} e_avg={best.e_avg:.4e} J "

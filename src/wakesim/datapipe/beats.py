@@ -82,7 +82,7 @@ def load_wfdb_record(path_prefix: str):
     for sig in header["signals"]:
         if sig["format"] != "212":
             raise DataError(f"{header['name']}: unsupported signal format {sig['format']}")
-    if int(header["fs"]) != SAMPLE_RATE:
+    if header["fs"] != SAMPLE_RATE:
         raise DataError(f"{header['name']}: sample rate {header['fs']} != {SAMPLE_RATE}")
     with open(path_prefix + ".dat", "rb") as fh:
         raw = wfdb212.decode_212(fh.read(), header["n_samples"])

@@ -16,9 +16,9 @@ FEATURE_LEN = 2 * BINS_PER_CHANNEL
 
 N_CELLS = 16
 
-# Beats per FFT batch. Stacking a whole split at once would hold its samples
-# and complex spectra (~26 MB for 3200 beats) at the same time; 256-beat
-# blocks keep that under 2 MB.
+# Beats per FFT batch. Transforming a whole split at once would hold its
+# samples and complex spectra (~26 MB for 3200 beats) at the same time;
+# 256-beat blocks copied into one reused sample buffer keep that under 2 MB.
 FFT_CHUNK = 256
 
 
@@ -38,12 +38,20 @@ def _spectra(samples: np.ndarray) -> np.ndarray:
 def feature_chunks(beats):
     """Yield (beats, mags) for consecutive blocks of at most FFT_CHUNK beats.
 
-    `beats` may be any iterable; each block's FFT runs as one batched call,
-    and its rows equal fft_features of the same beats bit for bit.
+    `beats` may be any iterable of beat records or (2, SEGMENT_LEN) arrays.
+    Each block's samples are copied into one sample buffer that the
+    generator reuses, sized by the first block, and its FFT runs as one
+    batched call. Every yielded `mags` is a fresh array whose rows equal
+    fft_features of the same beats bit for bit.
     """
     it = iter(beats)
+    buf = None
     while chunk := list(itertools.islice(it, FFT_CHUNK)):
-        yield chunk, _spectra(np.stack([_samples(b) for b in chunk]))
+        if buf is None:
+            buf = np.empty((len(chunk), 2, SEGMENT_LEN), dtype=np.float64)
+        for i, beat in enumerate(chunk):
+            buf[i] = _samples(beat)
+        yield chunk, _spectra(buf[:len(chunk)])
 
 
 def fft_features(beat) -> np.ndarray:

@@ -8,6 +8,8 @@ numpy arrays out; no external WFDB dependency.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ParseError
@@ -174,6 +176,8 @@ def read_header(text: str) -> dict:
         n_samples = int(head[3])
     except ValueError as exc:
         raise ParseError(f"malformed header line: {lines[0]!r}") from exc
+    if not (math.isfinite(fs) and fs > 0):
+        raise ParseError(f"sampling frequency must be finite and positive: {lines[0]!r}")
     signals = []
     for ln in lines[1 : 1 + n_sig]:
         fields = ln.split()
@@ -194,6 +198,8 @@ def read_header(text: str) -> dict:
                         baseline = float(fields[4])
             except ValueError as exc:
                 raise ParseError(f"malformed signal line: {ln!r}") from exc
+        if not (math.isfinite(gain) and math.isfinite(baseline)):
+            raise ParseError(f"non-finite gain or baseline: {ln!r}")
         if gain == 0:
             gain = 200.0
         signals.append({"file": fields[0], "format": fmt, "gain": gain, "baseline": baseline})

@@ -199,9 +199,11 @@ class SweepResult:
     rows: list[SweepRow]
 
     def argmin(self, t_s: float) -> SweepRow:
-        candidates = [r for r in self.rows if r.t_s == t_s and not r.failed]
+        rows = [r for r in self.rows if r.t_s == t_s]
+        candidates = [r for r in rows if not r.failed]
         if not candidates:
-            raise DataError(f"no successful sweep points at t_s={t_s}")
+            cause = f": {rows[0].error}" if rows else ""
+            raise DataError(f"no successful sweep points at t_s={t_s}{cause}")
         return min(candidates, key=lambda r: r.e_avg)
 
 

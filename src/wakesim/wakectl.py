@@ -13,8 +13,8 @@ the same block step after an FFT per block.
 
 from __future__ import annotations
 
-import csv
 import enum
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -81,6 +81,13 @@ class BeatOutcome:
 # decide_wake's reasons by priority, indexed by reason code; code 0 is a sleep.
 _REASONS = (None, WakeReason.INVALID, WakeReason.ABNORMAL, WakeReason.AMBIGUOUS)
 _TRACE_REASONS = tuple(str(r) if r else "none" for r in _REASONS)
+# Each trace line after its beat number, indexed by
+# ((true * N_CLASSES + front) * len(_REASONS) + reason) * N_CLASSES + system;
+# the line ends are csv.writer's.
+_TRACE_ROWS = tuple(
+    f"{t},{f},{int(k != 0)},{_TRACE_REASONS[k]},{s}\r\n"
+    for t, f, k, s in itertools.product(range(N_CLASSES), range(N_CLASSES),
+                                        range(len(_REASONS)), range(N_CLASSES)))
 # reason_counts keys and the reason code each one counts.
 _COUNT_KEYS = {"sleep": 0, **{str(r): _REASONS.index(r) for r in WakeReason}}
 
@@ -153,14 +160,23 @@ class StreamResult:
         return ConfusionMatrix.from_pairs(self.true, self.system)
 
     def write_trace(self, path: str) -> None:
+        """Write trace.csv: one line per beat, formatted through _TRACE_ROWS.
+
+        Raises ValueError for a column value outside its range, which would
+        otherwise index the wrong line.
+        """
+        for name, n in (("true", N_CLASSES), ("front", N_CLASSES),
+                        ("reason", len(_REASONS)), ("system", N_CLASSES)):
+            column = getattr(self, name)
+            if len(column) != self.n:
+                raise ValueError(f"trace column {name} holds {len(column)} rows, true holds {self.n}")
+            if self.n and not 0 <= column.min() <= column.max() < n:
+                raise ValueError(f"trace column {name} holds a value outside 0..{n - 1}")
+        keys = ((self.true * N_CLASSES + self.front) * len(_REASONS) + self.reason) * N_CLASSES \
+            + self.system
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beat", "true", "front_pred", "wake", "reason", "system_pred"])
-            writer.writerows(zip(
-                range(self.n), self.true.tolist(), self.front.tolist(),
-                (self.reason != 0).astype(np.int64).tolist(),
-                [_TRACE_REASONS[k] for k in self.reason.tolist()],
-                self.system.tolist()))
+            fh.write("beat,true,front_pred,wake,reason,system_pred\r\n")
+            fh.write("".join(f"{i},{_TRACE_ROWS[k]}" for i, k in enumerate(keys.tolist())))
 
 
 def wake_codes(batch: ScoreBatch, policy: WakePolicy = WakePolicy()) -> np.ndarray:

@@ -9,6 +9,7 @@ mlp_infer and backend.predict(beat, mags).
 """
 
 import csv
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from wakesim import memsim
 from wakesim.bayesfront import IdealReader, bayes_infer, bayes_infer_many
+from wakesim.datapipe.beats import N_CLASSES, SEGMENT_LEN
 from wakesim.datapipe.features import FFT_CHUNK, feature_chunks, feature_matrix, fft_features
 from wakesim.mlpback import mlp_forward, mlp_infer
 from wakesim.report import build_report
@@ -73,6 +75,23 @@ def test_batched_fft_equals_per_beat_features(bench_dataset):
     blocks = list(feature_chunks(iter(beats[:FFT_CHUNK + 44])))
     assert [len(chunk) for chunk, _ in blocks] == [FFT_CHUNK, 44]
     assert np.array_equal(np.concatenate([m for _, m in blocks]), reference[:FFT_CHUNK + 44])
+
+
+def test_feature_chunks_reuses_no_yielded_block(bench_dataset):
+    beats = bench_dataset.test[:2 * FFT_CHUNK + 7]
+    # beat records, arrays and nested lists mixed, fed through a generator
+    mixed = (b if i % 3 == 0 else b.samples.copy() if i % 3 == 1 else b.samples.tolist()
+             for i, b in enumerate(beats))
+    blocks = list(feature_chunks(mixed))
+    assert [len(chunk) for chunk, _ in blocks] == [FFT_CHUNK, FFT_CHUNK, 7]
+    reference = np.stack([fft_features(b) for b in beats])
+    assert np.array_equal(np.concatenate([m for _, m in blocks]), reference)
+    for bad in (np.zeros(SEGMENT_LEN), np.zeros((1, SEGMENT_LEN)), np.zeros((2, SEGMENT_LEN - 1))):
+        for position in (0, FFT_CHUNK + 3):
+            stream = [b.samples for b in beats[:FFT_CHUNK + 5]]
+            stream[position] = bad
+            with pytest.raises(ValueError, match=r"expected \(2, 252\) samples, got"):
+                list(feature_chunks(iter(stream)))
 
 
 def test_flip_table_equals_per_read_flip_probability(bench_model):
@@ -192,6 +211,27 @@ def _reference_trace(path, outcomes):
         for i, o in enumerate(outcomes):
             writer.writerow([i, o.true_label, o.front_pred, int(o.wake),
                              str(o.reason) if o.reason is not None else "none", o.system_pred])
+
+
+def test_table_trace_writer_equals_csv_writer_on_every_row(tmp_path):
+    combos = np.array(list(itertools.product(range(N_CLASSES), range(N_CLASSES), range(4),
+                                             range(N_CLASSES))), dtype=np.int64)
+    # back-end errors: woken beats that keep their front-end label
+    failed = np.array([[t, f, k, f] for t in range(N_CLASSES) for f in range(N_CLASSES)
+                       for k in (1, 2, 3)], dtype=np.int64)
+    rows = np.concatenate([combos, failed])
+    stream = StreamResult(*rows.T.copy(), backend_error=np.arange(len(rows)) >= len(combos))
+    assert stream.n == 256 + len(failed)
+    _reference_trace(tmp_path / "reference.csv", stream.outcomes)
+    stream.write_trace(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    for column, n in (("true", N_CLASSES), ("front", N_CLASSES), ("reason", 4),
+                      ("system", N_CLASSES)):
+        for value in (-1, n):
+            bad = StreamResult(*(getattr(stream, f.name).copy() for f in fields(StreamResult)))
+            getattr(bad, column)[5] = value
+            with pytest.raises(ValueError, match=f"trace column {column} holds a value outside"):
+                bad.write_trace(tmp_path / "bad.csv")
 
 
 @pytest.mark.parametrize("n_beats", [0, 1, FFT_CHUNK - 1, FFT_CHUNK, FFT_CHUNK + 1])

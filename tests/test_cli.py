@@ -146,11 +146,34 @@ def test_sweep_csv_and_echo(workspace):
     assert "t_s=0.002: argmin vdd=1.2" in result.output
     assert "ratio=32.29" in result.output
     assert "t_s=1: argmin vdd=0.9" in result.output
+    assert result.stderr == ""
     with open(out_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12  # 6 supply points x 2 monitoring periods
     nominal = next(r for r in rows if float(r["vdd"]) == 1.2 and float(r["t_s"]) == 2e-3)
     assert float(nominal["e_avg"]) == 9.92944e-08
+
+
+def test_sweep_warns_once_per_failed_point(workspace):
+    paths, _ = workspace
+    out_path = paths["ws"] / "sweep_partial.csv"
+    result = _ok(["sweep", "--vdd", "1.05,1.0", "--out", str(out_path)])
+    assert result.stderr == "".join(
+        f"wakesim: warning: sweep point vdd=1.05 t_s={t_s} failed: no wake rates tabulated at vdd=1.05\n"
+        for t_s in ("0.002", "1"))
+    assert "t_s=0.002: argmin vdd=1 " in result.output
+    with open(out_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["vdd"] for r in rows] == ["1.05", "1.0"] * 2
+    assert rows[0]["e_avg"] == "nan" and rows[1]["e_avg"] != "nan"
+
+
+def test_sweep_without_a_successful_point_names_the_cause(workspace):
+    paths, _ = workspace
+    result = _invoke(["sweep", "--vdd", "1.05", "--out", str(paths["ws"] / "sweep_none.csv")])
+    _assert_one_error_line(result, codes=(3,))
+    assert result.stderr == ("wakesim: error: data: no successful sweep points at t_s=0.002: "
+                             "no wake rates tabulated at vdd=1.05\n")
 
 
 def test_sweep_rejects_bad_grid(workspace):
@@ -405,13 +428,15 @@ def _command(paths, tmp_path, name: str) -> list[str]:
     ("sweep", "", ["--ts", "nan"], "--ts: non-finite entry in 'nan'"),
     ("sweep", "", ["--ts", "inf"], "--ts: non-finite entry in 'inf'"),
     ("sweep", "", ["--vdd", "1.0,nan"], "--vdd: non-finite entry in '1.0,nan'"),
+    ("sweep", "", ["--vdd=-1,1.0"], "--vdd: -1 is not positive"),
+    ("sweep", "", ["--vdd", "1.0,0"], "--vdd: 0 is not positive"),
     ("prepare-data", "", ["--seed", "-1"], "[dataset]: seed must be nonnegative"),
     ("train", "", ["--seed", "-1"], "[train]: seed must be nonnegative"),
     ("program", "", ["--seed", "-1"], "[seeds] program: must be nonnegative"),
 ], ids=["codec-base", "codec-width", "batch-size", "epochs", "lr-nan", "beats-per-class",
         "test-per-class", "source", "policy-bool", "pi-range", "percent", "empty-ts", "empty-vdd",
         "preset-and-tables", "partial-tables", "e-service-nan", "hrs-sigma-nan", "table-nan",
-        "ts-negative", "ts-nan", "ts-inf", "vdd-nan", "dataset-seed", "train-seed", "program-seed"])
+        "ts-negative", "ts-nan", "ts-inf", "vdd-nan", "vdd-negative", "vdd-zero", "dataset-seed", "train-seed", "program-seed"])
 def test_bad_setting_is_one_config_error_line(workspace, tmp_path, name, conf, flags, message):
     paths, _ = workspace
     args = _command(paths, tmp_path, name) + flags
@@ -484,3 +509,15 @@ def test_prepare_data_from_wfdb_source(wfdb_dir_factory, tmp_path):
     missing = _invoke(["prepare-data", "--out", str(out_dir), "--source", "wfdb"])
     assert missing.exit_code == 2
     assert "--wfdb-dir is required" in missing.stderr
+
+
+@pytest.mark.parametrize("fs, message", [
+    ("nan", "data: sampling frequency must be finite and positive: '100 2 nan 600'"),
+    ("360.7", "data: 100: sample rate 360.7 != 360"),
+], ids=["nan", "fractional"])
+def test_prepare_data_rejects_a_bad_wfdb_sample_rate(wfdb_record_writer, tmp_path, fs, message):
+    directory = wfdb_record_writer("100", np.zeros((2, 600), dtype=np.int64), [(300, "N")], fs=fs)
+    result = _invoke(["prepare-data", "--out", str(tmp_path / "out"), "--source", "wfdb",
+                      "--wfdb-dir", str(directory)])
+    _assert_one_error_line(result, codes=(3,))
+    assert result.stderr == f"wakesim: error: {message}\n"

@@ -206,3 +206,11 @@ def test_read_header_errors():
         read_header("100 1 360 650000\n100.dat\n")
     with pytest.raises(ParseError, match="malformed signal"):
         read_header("100 1 360 650000\n100.dat 212 2OO(1024)/mV\n")
+    for fs in ("nan", "inf", "0", "-360"):
+        with pytest.raises(ParseError, match="sampling frequency must be finite and positive"):
+            read_header(f"100 1 {fs} 650000\n100.dat 212\n")
+    for gain in ("nan(1024)", "inf(1024)", "200(nan)", "200(-inf)", "nan"):
+        with pytest.raises(ParseError, match="non-finite gain or baseline"):
+            read_header(f"100 1 360 650000\n100.dat 212 {gain}/mV\n")
+    with pytest.raises(ParseError, match="non-finite gain or baseline"):
+        read_header("100 1 360 650000\n100.dat 212 200 12 nan\n")
