@@ -152,17 +152,43 @@ class ClassScores:
     invalid: bool
 
 
+def word_address(shape, class_id: int, feature: int, level: int) -> int:
+    """Flat index of one (class, feature, level) address of a code table.
+
+    Raises IndexError for an address outside `shape`; a negative index
+    does not wrap.
+    """
+    n_classes, n_features, n_levels = shape
+    if not (0 <= class_id < n_classes and 0 <= feature < n_features and 0 <= level < n_levels):
+        raise IndexError(f"address {(class_id, feature, level)} outside {shape}")
+    return (class_id * n_features + feature) * n_levels + level
+
+
+def word_addresses(shape, class_ids, features, levels) -> np.ndarray:
+    """word_address over a read sequence: one flat index per read."""
+    index = tuple(np.asarray(a, dtype=np.intp) for a in (class_ids, features, levels))
+    try:
+        return np.ravel_multi_index(index, shape)
+    except ValueError as exc:  # an index outside its axis, or arrays that do not broadcast
+        raise IndexError(f"read sequence outside {shape}: {exc}") from None
+
+
 class IdealReader:
-    """Fault-free word reader: returns stored codes unchanged."""
+    """Fault-free word reader: returns stored codes unchanged.
+
+    An address outside the code table raises IndexError, as in
+    memsim.MemristorReader.
+    """
 
     def __init__(self, model: BayesModel):
-        self._codes = model.codes
+        self._shape = model.codes.shape
+        self._codes = model.codes.reshape(-1)
 
     def __call__(self, class_id: int, feature: int, level: int) -> int:
-        return int(self._codes[class_id, feature, level])
+        return int(self._codes[word_address(self._shape, class_id, feature, level)])
 
     def read_many(self, class_ids, features, levels) -> np.ndarray:
-        return self._codes[class_ids, features, levels]
+        return self._codes[word_addresses(self._shape, class_ids, features, levels)]
 
 
 def fit_bayes_model(mags, labels, ranked_bins, codec: LogCodec = LogCodec()) -> BayesModel:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..artifacts import load_json, save_json
-from ..errors import DataError
+from ..errors import DataError, ParseError
 from . import wfdb212
 
 SAMPLE_RATE = 360
@@ -73,10 +73,10 @@ def load_wfdb_record(path_prefix: str):
 
     Returns (signal, annotations) where signal is a (2, n) float array in
     ADC-normalized units ((raw - baseline) / gain per channel) and
-    annotations is a list of (sample, symbol) pairs.
+    annotations is a list of (sample, symbol) pairs. A ParseError from any
+    of the three files is prefixed with that file's path.
     """
-    with open(path_prefix + ".hea", "r") as fh:
-        header = wfdb212.read_header(fh.read())
+    header = _parse_file(path_prefix + ".hea", "r", wfdb212.read_header)
     if header["n_signals"] != 2:
         raise DataError(f"{header['name']}: expected 2 signals, header has {header['n_signals']}")
     for sig in header["signals"]:
@@ -84,15 +84,23 @@ def load_wfdb_record(path_prefix: str):
             raise DataError(f"{header['name']}: unsupported signal format {sig['format']}")
     if header["fs"] != SAMPLE_RATE:
         raise DataError(f"{header['name']}: sample rate {header['fs']} != {SAMPLE_RATE}")
-    with open(path_prefix + ".dat", "rb") as fh:
-        raw = wfdb212.decode_212(fh.read(), header["n_samples"])
+    raw = _parse_file(path_prefix + ".dat", "rb", wfdb212.decode_212, header["n_samples"])
     signal = np.empty_like(raw, dtype=np.float64)
     for ch in range(2):
         sig = header["signals"][ch]
         signal[ch] = (raw[ch] - sig["baseline"]) / sig["gain"]
-    with open(path_prefix + ".atr", "rb") as fh:
-        annotations = wfdb212.read_annotations(fh.read())
+    annotations = _parse_file(path_prefix + ".atr", "rb", wfdb212.read_annotations)
     return signal, annotations
+
+
+def _parse_file(path: str, mode: str, parse, *args):
+    """parse(contents of path, *args); a ParseError names the file."""
+    with open(path, mode) as fh:
+        data = fh.read()
+    try:
+        return parse(data, *args)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def ingest_wfdb_dir(directory: str):

@@ -14,11 +14,13 @@ persistently unreliable while strong pairs only fail at low vdd.
 
 Read noise is counter-based: every address (class, feature, level) owns a
 Philox stream keyed by (read seed, address), and read k of that address
-takes uniforms [8k, 8k + 8) of it, one per bit. Repeated reads of a word
-get disjoint noise, and the noise of a read does not depend on the order
-of reads to other addresses, so `MemristorReader.read_many` can serve a
-whole block of reads grouped by address and return exactly what the same
-sequence of single reads would.
+takes uniforms [8k, 8k + 8) of it, one per bit. A counter-based stream is
+fully set by its (key, counter) pair, so these streams are positions of
+one generator that a reader re-keys, and the reader keeps only a read
+count per address. Repeated reads of a word get disjoint noise, and the
+noise of a read does not depend on the order of reads to other addresses,
+so `MemristorReader.read_many` can serve a whole block of reads grouped by
+address and return exactly what the same sequence of single reads would.
 
 The shipped operating-regime presets are calibration constants chosen so the
 benchmark reproduces three qualitative regimes (healthy, relaxed
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import NUMBER, reading, typed, typed_list
-from .bayesfront import BayesModel
+from .bayesfront import BayesModel, word_address, word_addresses
 
 WORD_BITS = 8
 # Bit 0 of the device axis is the most significant bit of the word.
@@ -44,8 +46,9 @@ _BIT_WEIGHTS = 1 << np.arange(WORD_BITS - 1, -1, -1)
 VDD_RANGE = (0.5, 1.4)
 VDDR_RANGE = (1.0, 3.0)
 
-# erfc over an array: the flip table is computed once per reader, so a
-# Python-level loop over its 1024 entries is cheap.
+# erfc over an array, one math.erfc call per entry. The flip table is
+# computed once per reader; at about 0.2 ms for its 1024 entries this loop is
+# the largest share of reader set-up.
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
 
 
@@ -183,13 +186,17 @@ class MemristorReader:
     flips when its uniform falls below the bit's flip probability. Reads
     of one word therefore get disjoint noise, and the k-th read sees the
     same noise no matter how reads of different addresses are interleaved
-    or batched.
+    or batched. The streams are positions of one Philox generator, made
+    with the reader: before each run of reads of an address it is re-keyed
+    to (seed, address) and its counter set from that address's read count,
+    the only per-address state the reader keeps.
 
     `read_many(class_ids, features, levels)` reads a whole sequence of words
     in one call and returns exactly what the same sequence of single reads
     `reader(c, f, l)` would; either advances the same per-address streams.
     The flip-probability table `flip_table` (class, feature, level, bit) is
-    computed once, when the reader is made.
+    computed once, when the reader is made. An address outside the code
+    table raises IndexError.
     """
 
     def __init__(self, state: ArrayState, op: OperatingPoint,
@@ -205,20 +212,25 @@ class MemristorReader:
         self._eps = self.flip_table.reshape(-1, WORD_BITS)
         # Addresses that cannot flip need no uniforms (u < 0 never holds).
         self._noisy = (self._eps > 0).any(axis=1)
-        # Each address's stream, made at its first noisy read; its position
-        # is 8 x the address's read count.
-        self._streams: dict[int, np.random.Generator] = {}
+        # Reads so far of each address; its stream's position is 8 x this.
+        self._reads = [0] * len(self._codes)
+        # The generator every address's stream is read from, and the state
+        # dict that re-keys it (see _read_run), taken once from the fresh
+        # generator. Its arrays become lists: the state setter reads plain
+        # ints in less than half the time it takes for array items.
+        self._bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
+        self._rng = np.random.Generator(self._bitgen)
+        state = self._bitgen.state
+        state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        self._bitgen_state = state
 
     def __call__(self, class_id: int, feature: int, level: int) -> int:
-        n_classes, n_features, n_levels = self._shape
-        if not (0 <= class_id < n_classes and 0 <= feature < n_features and 0 <= level < n_levels):
-            raise IndexError(f"address {(class_id, feature, level)} outside {self._shape}")
-        return int(self._read_run((class_id * n_features + feature) * n_levels + level, 1)[0])
+        return int(self._read_run(word_address(self._shape, class_id, feature, level), 1)[0])
 
     def read_many(self, class_ids, features, levels) -> np.ndarray:
         """Words of a read sequence, in order; same as one call per read."""
-        index = tuple(np.asarray(a, dtype=np.intp) for a in (class_ids, features, levels))
-        addrs = np.ravel_multi_index(index, self._shape)
+        addrs = word_addresses(self._shape, class_ids, features, levels)
         # A stable sort groups each address's reads and keeps them in
         # sequence order, so they take that address's next uniforms in turn.
         order = np.argsort(addrs, kind="stable")
@@ -234,11 +246,18 @@ class MemristorReader:
         """The next `count` reads of one address."""
         if not self._noisy[addr]:
             return np.full(count, self._codes[addr])
-        stream = self._streams.get(addr)
-        if stream is None:
-            key = np.array([self.seed, addr], dtype=np.uint64)
-            stream = self._streams[addr] = np.random.Generator(np.random.Philox(key=key))
-        flips = stream.random((count, WORD_BITS)) < self._eps[addr]
+        k = self._reads[addr]
+        self._reads[addr] = k + count
+        # Philox makes 4 outputs per counter step and bumps the counter
+        # before each step. With an empty buffer (buffer_pos 4, as in the
+        # state of a fresh generator) and counter 2k, the next draw starts at
+        # uniform 8k of the (seed, addr) stream. Each read takes two whole
+        # steps, so the buffer is empty again after the draw.
+        state = self._bitgen_state
+        state["state"]["key"][1] = addr
+        state["state"]["counter"][0] = 2 * k
+        self._bitgen.state = state
+        flips = self._rng.random((count, WORD_BITS)) < self._eps[addr]
         return self._codes[addr] ^ (flips @ _BIT_WEIGHTS)
 
 

@@ -512,7 +512,7 @@ def test_prepare_data_from_wfdb_source(wfdb_dir_factory, tmp_path):
 
 
 @pytest.mark.parametrize("fs, message", [
-    ("nan", "data: sampling frequency must be finite and positive: '100 2 nan 600'"),
+    ("nan", "data: {dir}/100.hea: sampling frequency must be finite and positive: '100 2 nan 600'"),
     ("360.7", "data: 100: sample rate 360.7 != 360"),
 ], ids=["nan", "fractional"])
 def test_prepare_data_rejects_a_bad_wfdb_sample_rate(wfdb_record_writer, tmp_path, fs, message):
@@ -520,4 +520,16 @@ def test_prepare_data_rejects_a_bad_wfdb_sample_rate(wfdb_record_writer, tmp_pat
     result = _invoke(["prepare-data", "--out", str(tmp_path / "out"), "--source", "wfdb",
                       "--wfdb-dir", str(directory)])
     _assert_one_error_line(result, codes=(3,))
-    assert result.stderr == f"wakesim: error: {message}\n"
+    assert result.stderr == f"wakesim: error: {message.format(dir=directory)}\n"
+
+
+def test_wfdb_parse_error_names_the_file(wfdb_dir_factory, tmp_path):
+    # among several records, the error must say which file failed to parse
+    directory, _ = wfdb_dir_factory(beats_per_class=3)
+    for ext in (".dat", ".atr"):
+        shutil.copy(directory / f"100{ext}", directory / f"101{ext}")
+    (directory / "101.hea").write_text("")
+    result = _invoke(["prepare-data", "--out", str(tmp_path / "out"), "--source", "wfdb",
+                      "--wfdb-dir", str(directory)])
+    _assert_one_error_line(result, codes=(3,))
+    assert result.stderr == f"wakesim: error: data: {directory / '101.hea'}: empty header\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from wakesim.bayesfront import BayesModel, LogCodec
+from wakesim.bayesfront import BayesModel, IdealReader, LogCodec
 from wakesim.datapipe.quantizers import QuantizerSpec
 from wakesim.memsim import (
     ArrayState,
@@ -372,3 +372,89 @@ def test_consecutive_reads_share_no_noise():
     words = [reader(1, 2, 3) for _ in range(400)]
     repeats = sum((a & 0x0F) == (b >> 4) for a, b in zip(words, words[1:]))
     assert repeats / 399 < 0.15
+
+
+def _reference_words(state, reader, seed, schedule):
+    # each read from a fresh (seed, address) stream at offset 8k, where k
+    # counts that address's earlier reads
+    reads: dict[int, int] = {}
+    words = []
+    for address in schedule:
+        addr = int(np.ravel_multi_index(address, state.codes.shape))
+        k = reads.get(addr, 0)
+        reads[addr] = k + 1
+        stream = np.random.Generator(np.random.Philox(key=np.array([seed, addr], dtype=np.uint64)))
+        uniforms = stream.random(8 * (k + 1))[8 * k:]
+        flips = uniforms < reader.flip_table[address]
+        words.append(int(bits_code(code_bits(state.codes[address]) ^ flips)))
+    return words
+
+
+def test_rekeyed_reads_leak_no_position_between_addresses():
+    # one reader serves interleaved single reads and read_many blocks; a
+    # stream position carried from one address to the next would show as a
+    # word that differs from its fresh-stream reference
+    _, dists, noise = regime_preset("B")
+    state = program_arrays(_model_from_codes(np.arange(128).reshape(4, 4, 8)), dists, 1.5, seed=1)
+    reader = MemristorReader(state, OperatingPoint(1.2, 1.5), noise, seed=11)
+    a0, a1, hot, a3, a4, a5 = (0, 0, 0), (1, 2, 3), (3, 3, 7), (2, 1, 5), (0, 3, 4), (3, 0, 1)
+    assert all(reader.flip_table[a].max() > 0 for a in (a0, a1, hot, a3, a4, a5))
+    steps = [
+        ("one", [a0]),
+        ("many", [a1, a0, a1, a4, a1]),
+        ("one", [hot] * 300),
+        ("many", [a5, hot, a0, hot, a3, a5, a5]),
+        ("one", [a3, a1, hot, a1]),
+        ("many", [a4, a4, hot] * 40),
+        ("one", [a5, a4]),
+        ("many", [a1, a5, a0, hot] * 3),
+    ]
+    schedule, got = [], []
+    for how, step in steps:
+        schedule.extend(step)
+        if how == "one":
+            got.extend(reader(*a) for a in step)
+        else:
+            got.extend(reader.read_many(*zip(*step)).tolist())
+    assert schedule.count(hot) > 300
+    assert got == _reference_words(state, reader, 11, schedule)
+
+
+def test_a_reader_builds_one_philox(monkeypatch):
+    # building a Philox per address costs tens of microseconds each (it
+    # draws OS entropy for a seed sequence it then discards)
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    _, dists, noise = regime_preset("B")
+    state = program_arrays(_model_from_codes(np.arange(128).reshape(4, 4, 8)), dists, 1.5, seed=1)
+    reader = MemristorReader(state, OperatingPoint(1.2, 1.5), noise, seed=7)
+    assert reader.flip_table.reshape(-1, 8).max(axis=1).min() > 0
+    addresses = list(np.ndindex(state.codes.shape))
+    for _ in range(2):
+        for a in addresses:
+            reader(*a)
+        reader.read_many(*zip(*addresses))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("make_reader", [
+    lambda state, model: IdealReader(model),
+    lambda state, model: MemristorReader(state, OperatingPoint(1.2, 1.5), regime_preset("B")[2], seed=7),
+], ids=["ideal", "memristor"])
+@pytest.mark.parametrize("address", [
+    (-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 4, 0), (0, 0, -1), (0, 0, 8),
+])
+def test_readers_reject_an_address_outside_the_table(make_reader, address):
+    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+    state = program_arrays(model, regime_preset("B")[1], 1.5, seed=1)
+    reader = make_reader(state, model)
+    with pytest.raises(IndexError):
+        reader(*address)
+    with pytest.raises(IndexError):
+        reader.read_many(*([0, v] for v in address))
