@@ -19,7 +19,6 @@ from .artifacts import NUMBER, load_json, reading, save_json, typed, typed_list
 from .datapipe.beats import CLASS_NAMES, N_CLASSES
 from .datapipe.features import FEATURE_LEN
 from .datapipe.quantizers import QuantizerSpec, fit_quantizer, quantize
-from .errors import ReadFault
 from .metrics import count_pairs
 
 N_FEATURES = 4
@@ -215,18 +214,14 @@ def fit_bayes_model(mags, labels, ranked_bins, codec: LogCodec = LogCodec()) -> 
 def bayes_infer(levels, model: BayesModel, reader) -> ClassScores:
     """Accumulate per-class codes through a word reader and pick the argmin.
 
-    The reader is any callable (class_id, feature, level) -> code. A
-    ReadFault from the reader is treated as a stuck-at-max read of every
-    word, which lands the result in the invalid band.
+    The reader is any callable (class_id, feature, level) -> code. An
+    exception from the reader propagates, as it does from read_many in
+    bayes_infer_many.
     """
-    n_classes = len(model.class_names)
-    try:
-        scores = [
-            sum(int(reader(c, f, int(levels[f]))) for f in range(model.n_features))
-            for c in range(n_classes)
-        ]
-    except ReadFault:
-        scores = [model.codec.code_max * model.n_features] * n_classes
+    scores = [
+        sum(int(reader(c, f, int(levels[f]))) for f in range(model.n_features))
+        for c in range(len(model.class_names))
+    ]
     smin = min(scores)
     predicted = scores.index(smin)
     tie_with_normal = scores[0] == smin and any(s == smin for s in scores[1:])

@@ -232,6 +232,8 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
     parser = cfg.load_config(config_path)
     if seed is None:
         seed = cfg.get(parser, "seeds", "read", int)
+    if not 0 <= seed <= memsim.READ_SEED_MAX:
+        raise ConfigError(f"[seeds] read: must lie in 0..{memsim.READ_SEED_MAX}")
     policy = cfg.settings(parser, "policy", WakePolicy)
     test_csv = os.path.join(data_dir, "test.csv")
     if not os.path.exists(test_csv):

@@ -52,7 +52,10 @@ def load_config(path: str | None, **flags: dict) -> configparser.ConfigParser:
     """`DEFAULTS`, overlaid by the file at `path`, overlaid by `flags`.
 
     Each keyword names a section and maps its keys to flag values; a value
-    of None is a flag that was not given and leaves the key as it was.
+    of None is a flag that was not given and leaves the key as it was. A
+    file section or key that `DEFAULTS` does not hold is a ConfigError
+    (`TABLE_KEYS` are also allowed in [operating_point]), so a misspelt
+    setting is never silently ignored.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
@@ -64,6 +67,16 @@ def load_config(path: str | None, **flags: dict) -> configparser.ConfigParser:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}")
+        # Keys of a [DEFAULT] section would show up in every section.
+        if parser.defaults():
+            raise ConfigError(f"[{configparser.DEFAULTSECT}]: unknown section")
+        for section in parser.sections():
+            if section not in DEFAULTS:
+                raise ConfigError(f"[{section}]: unknown section")
+            known = DEFAULTS[section].keys() | (TABLE_KEYS if section == "operating_point" else ())
+            for key in parser.options(section):
+                if key not in known:
+                    raise ConfigError(f"[{section}] {key}: unknown key")
     parser.read_dict({section: {key: str(value) for key, value in values.items() if value is not None}
                       for section, values in flags.items()})
     return parser

@@ -19,8 +19,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DataError
 
 
@@ -35,7 +33,6 @@ class EnergyParams:
     vdd_nominal: float = 1.2
     pi: float = 0.01               # abnormal-beat prevalence
     t_s: float = 2.0e-3            # monitoring period per input
-    e_fe_curve: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -81,17 +78,10 @@ def p_mon(vdd: float, params: EnergyParams = EnergyParams()) -> float:
 def e_fe(vdd: float, params: EnergyParams = EnergyParams()) -> float:
     """Front-end inference energy at a supply point.
 
-    Uses the measured curve when one is supplied (linear interpolation, no
-    extrapolation); otherwise the default quadratic supply scaling.
+    Dynamic energy: e_fe_nominal scaled by (vdd / vdd_nominal)^2.
     """
     if vdd <= 0:
         raise ValueError("vdd must be positive")
-    if params.e_fe_curve is not None:
-        xs = [p[0] for p in params.e_fe_curve]
-        ys = [p[1] for p in params.e_fe_curve]
-        if not xs[0] <= vdd <= xs[-1]:
-            raise ValueError(f"vdd {vdd} outside e_fe curve range [{xs[0]}, {xs[-1]}]")
-        return float(np.interp(vdd, xs, ys))
     ratio = vdd / params.vdd_nominal
     return params.e_fe_nominal * ratio * ratio
 

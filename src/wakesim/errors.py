@@ -21,10 +21,6 @@ class ParseError(DataError):
     """A byte stream or text file does not follow its declared format."""
 
 
-class ReadFault(WakesimError):
-    """A word reader could not complete a read; treated as a hardware fault."""
-
-
 class TrainingDiverged(WakesimError):
     """Loss became non-finite during training."""
 

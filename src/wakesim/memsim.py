@@ -42,6 +42,8 @@ from .bayesfront import BayesModel, word_address, word_addresses
 WORD_BITS = 8
 # Bit 0 of the device axis is the most significant bit of the word.
 _BIT_WEIGHTS = 1 << np.arange(WORD_BITS - 1, -1, -1)
+# A read seed is one word of a Philox key.
+READ_SEED_MAX = 2**64 - 1
 
 VDD_RANGE = (0.5, 1.4)
 VDDR_RANGE = (1.0, 3.0)
@@ -196,7 +198,8 @@ class MemristorReader:
     `reader(c, f, l)` would; either advances the same per-address streams.
     The flip-probability table `flip_table` (class, feature, level, bit) is
     computed once, when the reader is made. An address outside the code
-    table raises IndexError.
+    table raises IndexError, and a seed outside 0..READ_SEED_MAX raises
+    ValueError.
     """
 
     def __init__(self, state: ArrayState, op: OperatingPoint,
@@ -204,14 +207,14 @@ class MemristorReader:
         self.state = state
         self.op = op
         self.error_model = error_model
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
+        if not 0 <= self.seed <= READ_SEED_MAX:
+            raise ValueError(f"read seed {self.seed} is outside 0..{READ_SEED_MAX}")
         self._shape = state.codes.shape
         self._codes = state.codes.reshape(-1).astype(np.int64)
         # Flip probability of every stored bit, (class, feature, level, bit).
         self.flip_table = error_model.flip_probability(margins(state), op.vdd)
         self._eps = self.flip_table.reshape(-1, WORD_BITS)
-        # Addresses that cannot flip need no uniforms (u < 0 never holds).
-        self._noisy = (self._eps > 0).any(axis=1)
         # Reads so far of each address; its stream's position is 8 x this.
         self._reads = [0] * len(self._codes)
         # The generator every address's stream is read from, and the state
@@ -244,8 +247,6 @@ class MemristorReader:
 
     def _read_run(self, addr: int, count: int) -> np.ndarray:
         """The next `count` reads of one address."""
-        if not self._noisy[addr]:
-            return np.full(count, self._codes[addr])
         k = self._reads[addr]
         self._reads[addr] = k + count
         # Philox makes 4 outputs per counter step and bumps the counter

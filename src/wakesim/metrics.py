@@ -46,14 +46,6 @@ class ConfusionMatrix:
     def n_classes(self) -> int:
         return self.counts.shape[0]
 
-    def normalized(self) -> np.ndarray:
-        """Row-stochastic rates; rows with no beats stay all-zero."""
-        out = np.zeros(self.counts.shape, dtype=np.float64)
-        sums = self.counts.sum(axis=1)
-        nonzero = sums > 0
-        out[nonzero] = self.counts[nonzero] / sums[nonzero, None]
-        return out
-
     def accuracy(self) -> float:
         total = self.counts.sum()
         return float(np.trace(self.counts) / total) if total else 0.0

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+# perfbench's tracer patches wakectl.bayes_infer; the per-beat import can go with ROADMAP item 1.
 from .bayesfront import BayesModel, ClassScores, ScoreBatch, bayes_infer, bayes_infer_many
-from .datapipe.beats import BeatRecord, N_CLASSES
+from .datapipe.beats import N_CLASSES
 from .datapipe.features import FFT_CHUNK, feature_chunks
 from .metrics import ConfusionMatrix, count_pairs
 
@@ -111,18 +112,6 @@ class StreamResult:
     system: np.ndarray = _empty_column()
     backend_error: np.ndarray = _empty_column(bool)
 
-    @classmethod
-    def from_outcomes(cls, outcomes) -> StreamResult:
-        """The columns of a list of per-beat outcomes."""
-        outcomes = list(outcomes)
-        return cls(
-            true=np.array([o.true_label for o in outcomes], dtype=np.int64),
-            front=np.array([o.front_pred for o in outcomes], dtype=np.int64),
-            reason=np.array([_REASONS.index(o.reason) for o in outcomes], dtype=np.int64),
-            system=np.array([o.system_pred for o in outcomes], dtype=np.int64),
-            backend_error=np.array([o.backend_error for o in outcomes], dtype=bool),
-        )
-
     @property
     def outcomes(self) -> list[BeatOutcome]:
         """One BeatOutcome per beat, built from the columns."""
@@ -186,11 +175,6 @@ def wake_codes(batch: ScoreBatch, policy: WakePolicy = WakePolicy()) -> np.ndarr
          (batch.predicted != 0) & policy.wake_on_abnormal,
          batch.tie_with_normal & policy.wake_on_ambiguous],
         [1, 2, 3], 0)
-
-
-def wake_reasons(batch: ScoreBatch, policy: WakePolicy = WakePolicy()) -> list[WakeReason | None]:
-    """wake_codes as WakeReason values: each beat's wake reason or None."""
-    return [_REASONS[k] for k in wake_codes(batch, policy).tolist()]
 
 
 def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):
@@ -323,10 +307,3 @@ def stats_from_counts(counts: dict[int, dict[str, int]]) -> WakeStats:
         reason_fractions=fractions,
         counts=counts,
     )
-
-
-class OracleBackend:
-    """Test helper: a back end that always answers the true label."""
-
-    def predict(self, beat: BeatRecord, mags: np.ndarray) -> int:
-        return beat.label

@@ -17,7 +17,7 @@ from wakesim.datapipe.beats import SEGMENT_LEN
 from wakesim.datapipe.features import chi2_rank, feature_matrix
 from wakesim.datapipe.synthetic import synth_beat, synth_dataset
 from wakesim.mlpback import TrainConfig, fit_backend
-from wakesim.wakectl import run_stream
+from wakesim.wakectl import _REASONS, StreamResult, run_stream
 from wakesim import memsim
 
 BENCH_SEED = 11
@@ -83,6 +83,22 @@ def regime_streams(bench_dataset, bench_model, bench_backend):
         reader = memsim.MemristorReader(state, op, noise, seed=READ_SEED)
         out[name] = run_stream(bench_dataset.test, bench_model, reader, bench_backend)
     return out
+
+
+@pytest.fixture(scope="session")
+def from_outcomes():
+    """Build a StreamResult from a list of BeatOutcome, for hand-made streams."""
+
+    def build(outcomes) -> StreamResult:
+        return StreamResult(
+            true=np.array([o.true_label for o in outcomes], dtype=np.int64),
+            front=np.array([o.front_pred for o in outcomes], dtype=np.int64),
+            reason=np.array([_REASONS.index(o.reason) for o in outcomes], dtype=np.int64),
+            system=np.array([o.system_pred for o in outcomes], dtype=np.int64),
+            backend_error=np.array([o.backend_error for o in outcomes], dtype=bool),
+        )
+
+    return build
 
 
 def _write_record(directory, name, samples, annotations, fs=360,

@@ -22,8 +22,8 @@ from wakesim.datapipe.beats import N_CLASSES, SEGMENT_LEN
 from wakesim.datapipe.features import FFT_CHUNK, feature_chunks, feature_matrix, fft_features
 from wakesim.mlpback import mlp_forward, mlp_infer
 from wakesim.report import build_report
-from wakesim.wakectl import (BeatOutcome, StreamResult, WakePolicy, decide_wake, run_features,
-                             run_stream, wake_reasons)
+from wakesim.wakectl import (_REASONS, BeatOutcome, StreamResult, WakePolicy, decide_wake,
+                             run_features, run_stream, wake_codes)
 
 # The seeds of the regime_streams fixture.
 PROGRAM_SEED = 5
@@ -128,8 +128,8 @@ def test_batched_inference_equals_bayes_infer(bench_model):
         for i, row in enumerate(levels):
             assert batch[i] == bayes_infer(row.tolist(), bench_model, twin)
         for policy in (WakePolicy(), WakePolicy(False, True, False), WakePolicy(True, False, True)):
-            assert wake_reasons(batch, policy) == [decide_wake(batch[i], policy).reason
-                                                   for i in range(len(levels))]
+            assert wake_codes(batch, policy).tolist() == [
+                _REASONS.index(decide_wake(batch[i], policy).reason) for i in range(len(levels))]
 
 
 def test_batched_backend_equals_mlp_infer_on_every_woken_beat(bench_backend, bench_test,
@@ -236,7 +236,7 @@ def test_table_trace_writer_equals_csv_writer_on_every_row(tmp_path):
 
 @pytest.mark.parametrize("n_beats", [0, 1, FFT_CHUNK - 1, FFT_CHUNK, FFT_CHUNK + 1])
 def test_columnar_core_equals_the_per_beat_reference(tmp_path, bench_dataset, bench_model,
-                                                     bench_backend, n_beats):
+                                                     bench_backend, from_outcomes, n_beats):
     picks = np.random.default_rng(n_beats).choice(len(bench_dataset.test), n_beats, replace=False)
     beats = [bench_dataset.test[i] for i in picks]
     streams = {
@@ -245,7 +245,7 @@ def test_columnar_core_equals_the_per_beat_reference(tmp_path, bench_dataset, be
         "beats": run_stream(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend),
     }
     outcomes = _per_beat_outcomes(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend)
-    reference = StreamResult.from_outcomes(outcomes)
+    reference = from_outcomes(outcomes)
     _reference_trace(tmp_path / "reference.csv", outcomes)
     for name, stream in streams.items():
         for column in fields(StreamResult):

@@ -22,7 +22,6 @@ from wakesim.bayesfront import (
     save_bayes_model,
 )
 from wakesim.datapipe.quantizers import QuantizerSpec
-from wakesim.errors import ReadFault
 
 # ---------------------------------------------------------------------------
 # codec
@@ -206,17 +205,6 @@ def test_infer_stuck_high_is_invalid():
     assert scores.scores == (1020, 1020, 1020, 1020)
     assert scores.invalid is True
     assert scores.tie_with_normal is True
-
-
-def test_infer_read_fault_lands_in_invalid_band():
-    model = _model_from_codes(np.zeros((4, 4, 8)))
-
-    def faulty_reader(c, f, l):
-        raise ReadFault("sense amp offline")
-
-    scores = bayes_infer([0, 0, 0, 0], model, faulty_reader)
-    assert scores.scores == (1020, 1020, 1020, 1020)
-    assert scores.invalid is True
 
 
 def test_infer_prediction_is_shift_invariant():

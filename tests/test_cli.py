@@ -255,19 +255,6 @@ def test_malformed_feature_cache_is_a_data_error(workspace, tmp_path, case):
     assert f"wakesim: error: data: {data / 'features.npz'}: malformed feature cache" in result.stderr
 
 
-def test_energy_curve_missing_the_run_supply_is_a_runtime_error(workspace, tmp_path):
-    paths, _ = workspace
-    conf = tmp_path / "curve.ini"
-    conf.write_text("[energy]\ne_fe_curve = 0.9:1e-9,1.0:2e-9\n")
-    result = _invoke([
-        "run", "--data", str(paths["data"]), "--bayes", str(paths["bayes"]),
-        "--mlp", str(paths["mlp"]), "--ideal", "--config", str(conf),
-        "--out", str(tmp_path / "out"),
-    ])
-    assert result.exit_code == 4
-    assert result.stderr == "wakesim: error: runtime: vdd 1.2 outside e_fe curve range [0.9, 1.0]\n"
-
-
 def _loading(paths, artifact: str, path: Path) -> list[str]:
     """The command that loads `artifact` from path and everything else from the workspace."""
     if artifact == "report.json":
@@ -433,10 +420,20 @@ def _command(paths, tmp_path, name: str) -> list[str]:
     ("prepare-data", "", ["--seed", "-1"], "[dataset]: seed must be nonnegative"),
     ("train", "", ["--seed", "-1"], "[train]: seed must be nonnegative"),
     ("program", "", ["--seed", "-1"], "[seeds] program: must be nonnegative"),
+    ("run", "", ["--seed", "-1"], "[seeds] read: must lie in 0..18446744073709551615"),
+    ("run", "", ["--seed", str(2**64)], "[seeds] read: must lie in 0..18446744073709551615"),
+    ("run", "[seeds]\nread = -1\n", [], "[seeds] read: must lie in 0..18446744073709551615"),
+    ("train", "[train]\nepoch = 1\n", [], "[train] epoch: unknown key"),
+    ("sweep", "[energy]\ne_fe_curve = 0.9:1e-9,1.0:2e-9\n", [], "[energy] e_fe_curve: unknown key"),
+    ("program", "[operating_point]\nvddd = 1.1\n", [], "[operating_point] vddd: unknown key"),
+    ("prepare-data", "[datset]\nseed = 4\n", [], "[datset]: unknown section"),
+    ("sweep", "[DEFAULT]\nseed = 4\n", [], "[DEFAULT]: unknown section"),
 ], ids=["codec-base", "codec-width", "batch-size", "epochs", "lr-nan", "beats-per-class",
         "test-per-class", "source", "policy-bool", "pi-range", "percent", "empty-ts", "empty-vdd",
         "preset-and-tables", "partial-tables", "e-service-nan", "hrs-sigma-nan", "table-nan",
-        "ts-negative", "ts-nan", "ts-inf", "vdd-nan", "vdd-negative", "vdd-zero", "dataset-seed", "train-seed", "program-seed"])
+        "ts-negative", "ts-nan", "ts-inf", "vdd-nan", "vdd-negative", "vdd-zero", "dataset-seed", "train-seed", "program-seed",
+        "run-seed-negative", "run-seed-2**64", "run-seed-file", "unknown-key", "stale-e-fe-curve",
+        "unknown-table-key", "unknown-section", "default-section"])
 def test_bad_setting_is_one_config_error_line(workspace, tmp_path, name, conf, flags, message):
     paths, _ = workspace
     args = _command(paths, tmp_path, name) + flags

@@ -96,17 +96,6 @@ def test_e_fe_default_quadratic_scaling():
         e_fe(-1.0)
 
 
-def test_e_fe_measured_curve_interpolates_but_never_extrapolates():
-    params = EnergyParams(e_fe_curve=((0.8, 1.0e-9), (1.2, 2.0e-9)))
-    assert e_fe(0.8, params) == 1.0e-9
-    assert e_fe(1.2, params) == 2.0e-9
-    assert e_fe(1.0, params) == pytest.approx(1.5e-9, rel=1e-12)
-    with pytest.raises(ValueError, match="outside"):
-        e_fe(1.3, params)
-    with pytest.raises(ValueError, match="outside"):
-        e_fe(0.7, params)
-
-
 # ---------------------------------------------------------------------------
 # average energy and its structure
 # ---------------------------------------------------------------------------

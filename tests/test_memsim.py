@@ -209,6 +209,17 @@ def test_quiet_read_returns_stored_words():
                 assert reader(c, f, l) == codes[c, f, l]
 
 
+def test_reader_seed_must_be_one_64_bit_key_word():
+    state = program_arrays(_model_from_codes(np.zeros((4, 4, 8))), ZERO_SIGMA_DISTS, 2.0, seed=0)
+    op = OperatingPoint(1.2, 2.0)
+    for seed in (0, 2**64 - 1):
+        assert MemristorReader(state, op, QUIET_NOISE, seed=seed).seed == seed
+    # a masked -1 would read as 2**64 - 1, and 2**64 as 0
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="read seed"):
+            MemristorReader(state, op, QUIET_NOISE, seed=seed)
+
+
 def test_certain_flip_reads_the_complement():
     codes = np.arange(128).reshape(4, 4, 8)
     state = program_arrays(_model_from_codes(codes), ZERO_SIGMA_DISTS, 2.0, seed=0)

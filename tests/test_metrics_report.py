@@ -46,17 +46,6 @@ def test_from_pairs_rejects_labels_outside_the_classes(true, pred):
         ConfusionMatrix.from_pairs(true, pred)
 
 
-def test_normalized_rows_are_stochastic_and_empty_rows_stay_zero():
-    cm = ConfusionMatrix(np.array([[3, 1, 0, 0],
-                                   [0, 0, 0, 0],
-                                   [0, 0, 5, 5],
-                                   [0, 0, 0, 2]]))
-    norm = cm.normalized()
-    assert norm[0].tolist() == [0.75, 0.25, 0.0, 0.0]
-    assert norm[1].tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert norm[2, 2] == 0.5
-
-
 def test_accuracy_of_empty_matrix_is_zero():
     assert ConfusionMatrix(np.zeros((4, 4), dtype=int)).accuracy() == 0.0
 
@@ -134,7 +123,8 @@ def test_f1_against_pair_counting_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_stream() -> StreamResult:
+@pytest.fixture()
+def cyclic_stream(from_outcomes) -> StreamResult:
     """100 beats per class; 6 front / 1 system error per abnormal class.
 
     Errors rotate cyclically through the other abnormal classes so each
@@ -149,15 +139,14 @@ def _cyclic_stream() -> StreamResult:
             front = c if i < 94 else wrong
             system = c if i < 99 else wrong
             outcomes.append(BeatOutcome(c, front, True, WakeReason.ABNORMAL, system))
-    return StreamResult.from_outcomes(outcomes)
+    return from_outcomes(outcomes)
 
 
 @pytest.fixture()
-def echo_report():
-    stream = _cyclic_stream()
+def echo_report(cyclic_stream):
     config = {"noise_sigma": 0.05, "seed": 11}
     energy = [{"vdd": 1.2, "e_avg": 9.92944e-08}]
-    return build_report(stream=stream, energy_rows=energy, config=config,
+    return build_report(stream=cyclic_stream, energy_rows=energy, config=config,
                         seeds={"train": 3})
 
 
@@ -191,11 +180,11 @@ def test_report_echoes_wake_section(echo_report):
     assert wake["backend_errors"] == 0
 
 
-def test_partial_reports():
+def test_partial_reports(cyclic_stream):
     only_energy = build_report(energy_rows=[{"vdd": 1.0, "e_avg": 1e-7}])
     assert only_energy["partial"] is True
     assert "front_end" not in only_energy and "wake" not in only_energy
-    only_stream = build_report(stream=_cyclic_stream())
+    only_stream = build_report(stream=cyclic_stream)
     assert only_stream["partial"] is True
     assert "energy" not in only_stream
     assert "front_end" in only_stream
@@ -248,10 +237,9 @@ def test_render_report_contents(echo_report):
     assert "e_avg=9.92944e-08 vdd=1.2" in text
 
 
-def test_render_handles_missing_values():
+def test_render_handles_missing_values(from_outcomes):
     # normal-only stream: abnormal F1 undefined, abnormal wake rate undefined
-    stream = StreamResult.from_outcomes([BeatOutcome(0, 0, False, None, 0)
-                                          for _ in range(10)])
+    stream = from_outcomes([BeatOutcome(0, 0, False, None, 0) for _ in range(10)])
     text = render_report(build_report(stream=stream))
     assert "macro_f1_abnormal=--" in text
     assert "p(wake|abnormal)=--" in text

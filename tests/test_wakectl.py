@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from wakesim.bayesfront import ClassScores
+from wakesim.datapipe.features import feature_matrix
+from wakesim.errors import WakesimError
 from wakesim.metrics import macro_f1_abnormal
 from wakesim.wakectl import (
     BeatOutcome,
-    OracleBackend,
-    StreamResult,
     WakePolicy,
     WakeReason,
     decide_wake,
+    run_features,
     run_stream,
     wake_stats,
 )
@@ -127,6 +128,13 @@ def test_degraded_stream_recovers_through_the_backend(regime_streams):
     assert system > front
 
 
+class OracleBackend:
+    """A back end that always answers the true label."""
+
+    def predict(self, beat, mags) -> int:
+        return beat.label
+
+
 def test_oracle_backend_never_hurts(bench_dataset, bench_model, bench_backend):
     from wakesim import memsim
     op, dists, noise = memsim.regime_preset("B")
@@ -155,6 +163,46 @@ def test_backend_exception_falls_back_to_front_label(bench_dataset, bench_model,
             assert o.system_pred == o.front_pred
         else:
             assert not o.backend_error
+
+
+class _SenseAmpFault(WakesimError):
+    pass
+
+
+def _faulty_read(class_id, feature, level):
+    raise _SenseAmpFault("sense amp offline")
+
+
+class _FaultyBatchReader:
+    def read_many(self, class_ids, features, levels):
+        raise _SenseAmpFault("sense amp offline")
+
+
+class _RecordingBackend:
+    """Counts the beats it is asked to label."""
+
+    def __init__(self):
+        self.asked = 0
+
+    def predict_features(self, mags):
+        self.asked += len(mags)
+        return np.zeros(len(mags), dtype=np.int64)
+
+    def predict(self, beat, mags):
+        self.asked += 1
+        return 0
+
+
+@pytest.mark.parametrize("reader", [_faulty_read, _FaultyBatchReader()], ids=["callable", "read_many"])
+def test_a_reader_fault_propagates_from_both_stream_paths(bench_dataset, bench_model, reader):
+    # A failed read is an error of the run, not an INVALID beat for the back end.
+    beats = bench_dataset.test[::100]
+    backend = _RecordingBackend()
+    with pytest.raises(_SenseAmpFault, match="sense amp offline"):
+        run_stream(beats, bench_model, reader, backend)
+    with pytest.raises(_SenseAmpFault, match="sense amp offline"):
+        run_features(*feature_matrix(beats), bench_model, reader, backend)
+    assert backend.asked == 0
 
 
 def test_normal_only_stream_has_undefined_abnormal_rate(bench_dataset, bench_model,
@@ -192,7 +240,7 @@ def _outcome(true_label, reason):
                        reason=reason, system_pred=system)
 
 
-def test_wake_stats_reproduces_reference_rates_exactly():
+def test_wake_stats_reproduces_reference_rates_exactly(from_outcomes):
     outcomes = []
     outcomes += [_outcome(1, WakeReason.ABNORMAL)] * 983
     outcomes += [_outcome(1, WakeReason.AMBIGUOUS)] * 15
@@ -200,7 +248,7 @@ def test_wake_stats_reproduces_reference_rates_exactly():
     outcomes += [_outcome(0, None)] * 9812
     outcomes += [_outcome(0, WakeReason.AMBIGUOUS)] * 100
     outcomes += [_outcome(0, WakeReason.INVALID)] * 88
-    stats = wake_stats(StreamResult.from_outcomes(outcomes))
+    stats = wake_stats(from_outcomes(outcomes))
     assert stats.p_wake_abnormal == 0.998
     assert stats.p_wake_normal == 0.0188
     assert stats.reason_fractions[1]["abnormal"] == 0.983
@@ -208,9 +256,9 @@ def test_wake_stats_reproduces_reference_rates_exactly():
     assert stats.counts[0]["invalid"] == 88
 
 
-def test_all_abnormal_waked_gives_unit_rate():
+def test_all_abnormal_waked_gives_unit_rate(from_outcomes):
     outcomes = [_outcome(c, WakeReason.ABNORMAL) for c in (1, 2, 3) for _ in range(5)]
-    stats = wake_stats(StreamResult.from_outcomes(outcomes))
+    stats = wake_stats(from_outcomes(outcomes))
     assert stats.p_wake_abnormal == 1.0
     assert stats.p_wake_normal is None
 
