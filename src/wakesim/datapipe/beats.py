@@ -22,22 +22,37 @@ SYMBOL_TO_LABEL = {"N": 0, "L": 1, "R": 2, "/": 3}
 N_CLASSES = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeatRecord:
-    """One segmented beat: 2 channels x 252 samples plus provenance."""
+    """One segmented beat: 2 channels x 252 samples plus provenance.
+
+    A record is read-only. `samples` is a read-only float64 array that the
+    record owns: an input that is a view of another array is copied, an
+    array that owns its data is adopted and made read-only. `mags` is the
+    beat's FFT feature row once datapipe.features has computed it (None
+    until then), a read-only view; it can be cached because `samples`
+    cannot change.
+    """
 
     samples: np.ndarray
     label: int
     source_id: str
     beat_index: int
+    mags: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.shape != (2, SEGMENT_LEN):
-            raise ValueError(f"expected samples of shape (2, {SEGMENT_LEN}), got {self.samples.shape}")
-        if not 0 <= int(self.label) < N_CLASSES:
+        samples = np.asarray(self.samples, dtype=np.float64)
+        if samples.shape != (2, SEGMENT_LEN):
+            raise ValueError(f"expected samples of shape (2, {SEGMENT_LEN}), got {samples.shape}")
+        if samples.base is not None:
+            samples = samples.copy()
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+        if isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer)):
+            raise ValueError(f"label {self.label!r} is not an integer")
+        if not 0 <= self.label < N_CLASSES:
             raise ValueError(f"label {self.label} outside [0, {N_CLASSES - 1}]")
-        self.label = int(self.label)
+        object.__setattr__(self, "label", int(self.label))
 
 
 @dataclass
@@ -182,10 +197,13 @@ def read_beats_csv(path: str) -> list[BeatRecord]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(_CSV_HEADER):
                 raise DataError(f"{path}:{lineno}: expected {len(_CSV_HEADER)} columns, got {len(row)}")
-            values = np.array([float(v) for v in row[3:]], dtype=np.float64)
-            beats.append(
-                BeatRecord(values.reshape(2, SEGMENT_LEN), int(row[0]), row[1], int(row[2]))
-            )
+            try:
+                values = np.array([float(v) for v in row[3:]], dtype=np.float64)
+                if not np.isfinite(values).all():
+                    raise ValueError("samples must be finite")
+                beats.append(BeatRecord(values.reshape(2, SEGMENT_LEN), int(row[0]), row[1], int(row[2])))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     return beats
 
 

@@ -8,7 +8,10 @@ end's label is final for that beat.
 run_features is the stream core: it takes a feature matrix in blocks and
 returns a StreamResult of per-beat columns (true, front and system labels,
 wake reason code, back-end error). run_stream feeds beat records through
-the same block step after an FFT per block.
+the same block step. Their features come from datapipe.features'
+feature_chunks, which runs one FFT per block over the beats that hold no
+cached feature row, so streaming the same records again (one split through
+several regimes) makes no FFT call.
 """
 
 from __future__ import annotations
@@ -264,13 +267,13 @@ def run_stream(beats, model: BayesModel, reader, backend,
                policy: WakePolicy = WakePolicy()) -> StreamResult:
     """run_features over beat records, with per-beat fallbacks.
 
-    Each block of FFT_CHUNK beats gets its features from one FFT call and
-    goes through the same block step as run_features. Two per-beat paths
-    remain for callers that cannot take a block: a reader without read_many
-    is called word by word through bayes_infer, and a back end without
-    predict_features, or whose predict_features raises, labels each woken
-    beat through backend.predict(beat, mags). The outcomes are the same as
-    beat by beat.
+    Each block of FFT_CHUNK beats gets its features from feature_chunks
+    (one FFT call over the beats without a cached row) and goes through the
+    same block step as run_features. Two per-beat paths remain for callers
+    that cannot take a block: a reader without read_many is called word by
+    word through bayes_infer, and a back end without predict_features, or
+    whose predict_features raises, labels each woken beat through
+    backend.predict(beat, mags). The outcomes are the same as beat by beat.
     """
     predict_features = getattr(backend, "predict_features", None)
     return _collect(

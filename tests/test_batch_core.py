@@ -1,7 +1,8 @@
 """The batch stream core against the per-beat, per-read reference paths.
 
 run_features and run_stream work on blocks of beats: one FFT call per
-block (run_stream), one read_many per block, one integer forward pass for
+block over the beats without a cached feature row (run_stream), one
+read_many per block, one integer forward pass for
 the woken rows, and a StreamResult of per-beat columns. Every test here
 pins a batched step to the scalar API it replaces, which stays public:
 fft_features, MemristorReader(c, f, l), bayes_infer, decide_wake,
@@ -18,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from wakesim import memsim
 from wakesim.bayesfront import IdealReader, bayes_infer, bayes_infer_many
-from wakesim.datapipe.beats import N_CLASSES, SEGMENT_LEN
+from wakesim.datapipe import features
+from wakesim.datapipe.beats import N_CLASSES, SEGMENT_LEN, BeatRecord
 from wakesim.datapipe.features import FFT_CHUNK, feature_chunks, feature_matrix, fft_features
 from wakesim.mlpback import mlp_forward, mlp_infer
 from wakesim.report import build_report
@@ -77,21 +79,60 @@ def test_batched_fft_equals_per_beat_features(bench_dataset):
     assert np.array_equal(np.concatenate([m for _, m in blocks]), reference[:FFT_CHUNK + 44])
 
 
+def _fresh(beats):
+    """Copies of the records that hold no cached feature row."""
+    return [BeatRecord(b.samples, b.label, b.source_id, b.beat_index) for b in beats]
+
+
 def test_feature_chunks_reuses_no_yielded_block(bench_dataset):
-    beats = bench_dataset.test[:2 * FFT_CHUNK + 7]
-    # beat records, arrays and nested lists mixed, fed through a generator
-    mixed = (b if i % 3 == 0 else b.samples.copy() if i % 3 == 1 else b.samples.tolist()
+    beats = _fresh(bench_dataset.test[:2 * FFT_CHUNK + 7])
+    reference = np.stack([fft_features(b) for b in beats])
+    list(feature_chunks(beats[::2]))  # caches every other record
+    # cached records, uncached records, arrays and nested lists mixed, fed through a generator
+    mixed = (b if i % 4 < 2 else b.samples.copy() if i % 4 == 2 else b.samples.tolist()
              for i, b in enumerate(beats))
     blocks = list(feature_chunks(mixed))
     assert [len(chunk) for chunk, _ in blocks] == [FFT_CHUNK, FFT_CHUNK, 7]
-    reference = np.stack([fft_features(b) for b in beats])
     assert np.array_equal(np.concatenate([m for _, m in blocks]), reference)
+    assert all((b.mags is not None) == (i % 2 == 0 or i % 4 == 1) for i, b in enumerate(beats))
+    for _, block in blocks + list(feature_chunks(beats)):
+        block[:] = -1.0
+    assert np.array_equal(np.stack([b.mags for b in beats]), reference)
     for bad in (np.zeros(SEGMENT_LEN), np.zeros((1, SEGMENT_LEN)), np.zeros((2, SEGMENT_LEN - 1))):
         for position in (0, FFT_CHUNK + 3):
             stream = [b.samples for b in beats[:FFT_CHUNK + 5]]
             stream[position] = bad
             with pytest.raises(ValueError, match=r"expected \(2, 252\) samples, got"):
                 list(feature_chunks(iter(stream)))
+
+
+def test_feature_matrix_holds_each_cached_row_once(bench_dataset):
+    beats = _fresh(bench_dataset.test[:FFT_CHUNK + 9])
+    reference = np.stack([fft_features(b) for b in beats])
+    list(feature_chunks(beats[::3]))
+    mags, _ = feature_matrix(beats)
+    assert np.array_equal(mags, reference)
+    assert np.array_equal(feature_matrix(_fresh(beats))[0], reference)
+    with pytest.raises(ValueError, match="read-only"):
+        mags[0, 0] = -1.0
+    for b, row in zip(beats, reference):
+        assert np.shares_memory(b.mags, mags)
+        with pytest.raises(ValueError, match="read-only"):
+            b.mags[0] = -1.0
+        assert np.array_equal(b.mags, row)
+
+
+def test_second_stream_over_the_same_beats_makes_no_fft_call(bench_dataset, bench_model,
+                                                             bench_backend, monkeypatch):
+    calls = []
+    spectra = features._spectra
+    monkeypatch.setattr(features, "_spectra", lambda samples: calls.append(len(samples)) or spectra(samples))
+    beats = _fresh(bench_dataset.test[:FFT_CHUNK + 44])
+    first = run_stream(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend)
+    assert calls == [FFT_CHUNK, 44]
+    second = run_stream(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend)
+    assert calls == [FFT_CHUNK, 44]
+    assert second == first
 
 
 def test_flip_table_equals_per_read_flip_probability(bench_model):

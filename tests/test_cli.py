@@ -494,6 +494,41 @@ def test_prepare_data_from_csv_source(tmp_path):
     assert "--train-csv and --test-csv are required" in missing.stderr
 
 
+@pytest.mark.parametrize("column, value, message", [
+    (0, "7", "label 7 outside [0, 3]"),
+    (0, "1.5", "invalid literal for int() with base 10: '1.5'"),
+    (0, "N", "invalid literal for int() with base 10: 'N'"),
+    (2, "x", "invalid literal for int() with base 10: 'x'"),
+    (3, "oops", "could not convert string to float: 'oops'"),
+    (200, "nan", "samples must be finite"),
+    (3, "-inf", "samples must be finite"),
+], ids=["label-range", "label-fraction", "label-text", "beat-index", "sample-text", "sample-nan",
+        "sample-inf"])
+@pytest.mark.parametrize("command", ["prepare-data", "run"])
+def test_malformed_beats_csv_row_is_a_data_error_naming_the_line(workspace, tmp_path, command,
+                                                                 column, value, message):
+    paths, _ = workspace
+    ds = synth_dataset(4, 3, 0.05, test_per_class=2)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_beats_csv(data / "train.csv", ds.train)
+    write_beats_csv(data / "test.csv", ds.test)
+    with open(data / "test.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][column] = value
+    with open(data / "test.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    if command == "prepare-data":
+        args = ["prepare-data", "--out", str(tmp_path / "out"), "--source", "csv",
+                "--train-csv", str(data / "train.csv"), "--test-csv", str(data / "test.csv")]
+    else:
+        args = ["run", "--data", str(data), "--bayes", str(paths["bayes"]), "--mlp", str(paths["mlp"]),
+                "--ideal", "--out", str(tmp_path / "out")]
+    result = _invoke(args)
+    _assert_one_error_line(result, codes=(3,))
+    assert result.stderr == f"wakesim: error: data: {data / 'test.csv'}:3: {message}\n"
+
+
 def test_prepare_data_from_wfdb_source(wfdb_dir_factory, tmp_path):
     directory, labels = wfdb_dir_factory(beats_per_class=3)
     out_dir = tmp_path / "out"

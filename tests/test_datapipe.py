@@ -1,5 +1,7 @@
 """Beat segmentation, spectral features, bin ranking, and dataset plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -43,6 +45,39 @@ def test_segment_beat_window_and_fields():
     assert beat.samples.shape == (2, SEGMENT_LEN)
     assert np.array_equal(beat.samples, signal[:, 200 - 126:200 + 126])
     assert (beat.label, beat.source_id, beat.beat_index) == (1, "rec", 7)
+
+
+def test_segment_beat_copies_its_window_out_of_the_signal():
+    signal = np.arange(2 * 600).reshape(2, 600).astype(float)
+    beat = segment_beat(signal, 200, 1, "rec", 7)
+    assert not np.shares_memory(beat.samples, signal)
+    signal[:] = 0.0
+    assert np.array_equal(beat.samples, np.arange(2 * 600).reshape(2, 600)[:, 74:326])
+
+
+def test_beat_record_is_read_only():
+    owned = np.zeros((2, SEGMENT_LEN))
+    beat = BeatRecord(owned, 0, "r", 0)
+    assert beat.samples is owned  # an array that owns its data is adopted, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        beat.samples[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        beat.samples = np.ones((2, SEGMENT_LEN))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        beat.label = 1
+    view = np.zeros((2, 2 * SEGMENT_LEN))[:, :SEGMENT_LEN]
+    assert not np.shares_memory(BeatRecord(view, 0, "r", 0).samples, view)
+
+
+@pytest.mark.parametrize("label", [1.5, 1.0, True, "1", None])
+def test_beat_record_rejects_a_label_that_is_not_an_integer(label):
+    with pytest.raises(ValueError, match="is not an integer"):
+        BeatRecord(np.zeros((2, SEGMENT_LEN)), label, "r", 0)
+
+
+def test_beat_record_keeps_numpy_integer_labels():
+    beat = BeatRecord(np.zeros((2, SEGMENT_LEN)), np.int64(3), "r", 0)
+    assert beat.label == 3 and type(beat.label) is int
 
 
 def test_segment_beat_boundaries():
