@@ -29,9 +29,9 @@ class BeatRecord:
     A record is read-only. `samples` is a read-only float64 array that the
     record owns: an input that is a view of another array is copied, an
     array that owns its data is adopted and made read-only. `mags` is the
-    beat's FFT feature row once datapipe.features has computed it (None
-    until then), a read-only view; it can be cached because `samples`
-    cannot change.
+    beat's FFT feature row once datapipe.features' feature_chunks has
+    computed it (None until then), a read-only view; it can be cached
+    because `samples` cannot change.
     """
 
     samples: np.ndarray
@@ -201,7 +201,8 @@ def read_beats_csv(path: str) -> list[BeatRecord]:
                 values = np.array([float(v) for v in row[3:]], dtype=np.float64)
                 if not np.isfinite(values).all():
                     raise ValueError("samples must be finite")
-                beats.append(BeatRecord(values.reshape(2, SEGMENT_LEN), int(row[0]), row[1], int(row[2])))
+                values.shape = (2, SEGMENT_LEN)  # in place, so the record adopts the array uncopied
+                beats.append(BeatRecord(values, int(row[0]), row[1], int(row[2])))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     return beats

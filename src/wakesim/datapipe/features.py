@@ -35,20 +35,13 @@ def _spectra(samples: np.ndarray) -> np.ndarray:
     return spect.reshape(len(samples), FEATURE_LEN)
 
 
-def _cache(beat, row: np.ndarray) -> None:
-    """Store a read-only feature row on a beat record (a no-op for arrays and lists)."""
-    if isinstance(beat, BeatRecord):
-        object.__setattr__(beat, "mags", row)
-
-
 def _row_blocks(beats):
     """Yield (beats, rows) for consecutive blocks of at most FFT_CHUNK beats.
 
-    rows[i] is the read-only feature row of beats[i]. A record that holds a
-    cached row keeps it. The other beats of a block are copied into one
-    sample buffer that the generator reuses, sized by the first block that
-    needs it, and go through one batched FFT; each new row is stored on its
-    record as a read-only view (arrays and lists are not cached).
+    rows[i] is the feature row of beats[i]: the record's cached row if it
+    holds one, else a read-only row of one batched FFT over the block's
+    other beats. Those are copied into one sample buffer that the generator
+    reuses, sized by the first block that needs it.
     """
     it = iter(beats)
     buf = None
@@ -64,7 +57,6 @@ def _row_blocks(beats):
             spectra.flags.writeable = False
             for i, row in zip(new, spectra):
                 rows[i] = row
-                _cache(chunk[i], row)
         yield chunk, rows
 
 
@@ -73,13 +65,16 @@ def feature_chunks(beats):
 
     `beats` may be any iterable of beat records or (2, SEGMENT_LEN) arrays.
     The FFT runs once per block, over the beats that hold no cached feature
-    row, and caches the new rows on their records (see _row_blocks), so a
-    second pass over the same records makes no FFT call. Every yielded
-    `mags` is a fresh array gathered from the rows, equal to fft_features
-    of the same beats bit for bit; writing into it leaves the cached rows
-    as they are.
+    row, and each new row is cached on its record (arrays and lists are not
+    cached). So streaming the same record objects again in one process
+    makes no FFT call. Every yielded `mags` is a fresh array gathered from
+    the rows, equal to fft_features of the same beats bit for bit; writing
+    into it leaves the cached rows as they are.
     """
     for chunk, rows in _row_blocks(beats):
+        for beat, row in zip(chunk, rows):
+            if isinstance(beat, BeatRecord) and beat.mags is None:
+                object.__setattr__(beat, "mags", row)
         yield chunk, np.array(rows)
 
 
@@ -96,25 +91,16 @@ def fft_features(beat) -> np.ndarray:
 def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
     """fft_features of every beat, stacked; returns (mags, labels).
 
-    Beats that already hold a cached row are not transformed again. `mags`
-    is read-only, and each record's cached row becomes a view of its row of
-    `mags`, block by block, so a split's rows are held once.
+    Rows a record already holds are not transformed again, but no new row
+    is cached: the matrix is the one copy of the rows.
     """
     mags = np.empty((len(beats), FEATURE_LEN), dtype=np.float64)
     labels = np.empty(len(beats), dtype=np.int64)
-    frozen = mags.view()
-    frozen.flags.writeable = False
     start = 0
     for chunk, rows in _row_blocks(beats):
-        stop = start + len(chunk)
-        # Gathered in place: a block-sized temporary per block fragments the
-        # heap, which showed as about 0.5 MB of peak RSS.
-        np.stack(rows, out=mags[start:stop])
-        labels[start:stop] = [b.label for b in chunk]
-        for beat, row in zip(chunk, frozen[start:stop]):
-            _cache(beat, row)
-        start = stop
-    mags.flags.writeable = False
+        np.stack(rows, out=mags[start:start + len(chunk)])
+        labels[start:start + len(chunk)] = [b.label for b in chunk]
+        start += len(chunk)
     return mags, labels
 
 

@@ -10,8 +10,9 @@ returns a StreamResult of per-beat columns (true, front and system labels,
 wake reason code, back-end error). run_stream feeds beat records through
 the same block step. Their features come from datapipe.features'
 feature_chunks, which runs one FFT per block over the beats that hold no
-cached feature row, so streaming the same records again (one split through
-several regimes) makes no FFT call.
+cached feature row and caches the new rows, so streaming the same record
+objects again in one process (one split through several regimes) makes no
+FFT call.
 """
 
 from __future__ import annotations

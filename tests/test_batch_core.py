@@ -68,8 +68,13 @@ def _preset_reader(model, name, seed=READ_SEED):
     return memsim.MemristorReader(state, op, noise, seed=seed)
 
 
+def _fresh(beats):
+    """Copies of the records that hold no cached feature row."""
+    return [BeatRecord(b.samples, b.label, b.source_id, b.beat_index) for b in beats]
+
+
 def test_batched_fft_equals_per_beat_features(bench_dataset):
-    beats = bench_dataset.test
+    beats = _fresh(bench_dataset.test)
     reference = np.stack([fft_features(b) for b in beats])
     mags, labels = feature_matrix(beats)
     assert np.array_equal(mags, reference)
@@ -77,11 +82,6 @@ def test_batched_fft_equals_per_beat_features(bench_dataset):
     blocks = list(feature_chunks(iter(beats[:FFT_CHUNK + 44])))
     assert [len(chunk) for chunk, _ in blocks] == [FFT_CHUNK, 44]
     assert np.array_equal(np.concatenate([m for _, m in blocks]), reference[:FFT_CHUNK + 44])
-
-
-def _fresh(beats):
-    """Copies of the records that hold no cached feature row."""
-    return [BeatRecord(b.samples, b.label, b.source_id, b.beat_index) for b in beats]
 
 
 def test_feature_chunks_reuses_no_yielded_block(bench_dataset):
@@ -106,20 +106,18 @@ def test_feature_chunks_reuses_no_yielded_block(bench_dataset):
                 list(feature_chunks(iter(stream)))
 
 
-def test_feature_matrix_holds_each_cached_row_once(bench_dataset):
+def test_feature_matrix_reads_cached_rows_and_caches_none(bench_dataset):
     beats = _fresh(bench_dataset.test[:FFT_CHUNK + 9])
     reference = np.stack([fft_features(b) for b in beats])
-    list(feature_chunks(beats[::3]))
-    mags, _ = feature_matrix(beats)
+    list(feature_chunks(beats[::3]))  # caches every third record
+    cached = [b.mags for b in beats]
+    mags, labels = feature_matrix(beats)  # cached and uncached records mixed
     assert np.array_equal(mags, reference)
-    assert np.array_equal(feature_matrix(_fresh(beats))[0], reference)
-    with pytest.raises(ValueError, match="read-only"):
-        mags[0, 0] = -1.0
-    for b, row in zip(beats, reference):
-        assert np.shares_memory(b.mags, mags)
-        with pytest.raises(ValueError, match="read-only"):
-            b.mags[0] = -1.0
-        assert np.array_equal(b.mags, row)
+    assert labels.tolist() == [b.label for b in beats]
+    mags[:] = -1.0  # the matrix is the caller's: writable, and no cached row is a view of it
+    assert all(b.mags is row for b, row in zip(beats, cached))
+    assert all((row is None) == (i % 3 != 0) for i, row in enumerate(cached))
+    assert np.array_equal(np.stack(cached[::3]), reference[::3])
 
 
 def test_second_stream_over_the_same_beats_makes_no_fft_call(bench_dataset, bench_model,
