@@ -106,7 +106,6 @@ def prepare_data(out_dir, config_path, source, seed, beats_per_class, test_per_c
         )
 
     os.makedirs(out_dir, exist_ok=True)
-    beatsmod.write_beats_csv(os.path.join(out_dir, "train.csv"), ds.train)
     beatsmod.write_beats_csv(os.path.join(out_dir, "test.csv"), ds.test)
     beatsmod.write_manifest(os.path.join(out_dir, "manifest.json"), ds)
     train_mags, train_labels = featmod.feature_matrix(ds.train)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..artifacts import load_json, save_json
+from ..artifacts import save_json
 from ..errors import DataError, ParseError
 from . import wfdb212
 
@@ -22,7 +22,7 @@ SYMBOL_TO_LABEL = {"N": 0, "L": 1, "R": 2, "/": 3}
 N_CLASSES = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeatRecord:
     """One segmented beat: 2 channels x 252 samples plus provenance.
 
@@ -31,14 +31,14 @@ class BeatRecord:
     array that owns its data is adopted and made read-only. `mags` is the
     beat's FFT feature row once datapipe.features' feature_chunks has
     computed it (None until then), a read-only view; it can be cached
-    because `samples` cannot change.
+    because `samples` cannot change. Records compare and hash by identity.
     """
 
     samples: np.ndarray
     label: int
     source_id: str
     beat_index: int
-    mags: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    mags: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -216,11 +216,3 @@ def write_manifest(path: str, dataset: Dataset) -> None:
         "seed": dataset.seed,
     }
     save_json(path, manifest)
-
-
-def read_manifest(path: str) -> dict:
-    manifest = load_json(path)
-    for key in ("train", "test", "seed"):
-        if key not in manifest:
-            raise DataError(f"{path}: manifest missing key {key!r}")
-    return manifest

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from ..metrics import count_pairs
-from .beats import SEGMENT_LEN, BeatRecord
+from .beats import SEGMENT_LEN
 
 # Magnitude bins 0..126 per channel, two channels.
 BINS_PER_CHANNEL = SEGMENT_LEN // 2 + 1
@@ -18,15 +18,8 @@ N_CELLS = 16
 
 # Beats per FFT batch. Transforming a whole split at once would hold its
 # samples and complex spectra (~26 MB for 3200 beats) at the same time;
-# 256-beat blocks copied into one reused sample buffer keep that under 2 MB.
+# 256-beat blocks keep that under 2 MB.
 FFT_CHUNK = 256
-
-
-def _samples(beat) -> np.ndarray:
-    samples = beat.samples if hasattr(beat, "samples") else np.asarray(beat, dtype=np.float64)
-    if samples.shape != (2, SEGMENT_LEN):
-        raise ValueError(f"expected (2, {SEGMENT_LEN}) samples, got {samples.shape}")
-    return samples
 
 
 def _spectra(samples: np.ndarray) -> np.ndarray:
@@ -36,24 +29,18 @@ def _spectra(samples: np.ndarray) -> np.ndarray:
 
 
 def _row_blocks(beats):
-    """Yield (beats, rows) for consecutive blocks of at most FFT_CHUNK beats.
+    """Yield (beats, rows) for consecutive blocks of at most FFT_CHUNK records.
 
     rows[i] is the feature row of beats[i]: the record's cached row if it
     holds one, else a read-only row of one batched FFT over the block's
-    other beats. Those are copied into one sample buffer that the generator
-    reuses, sized by the first block that needs it.
+    other records.
     """
     it = iter(beats)
-    buf = None
     while chunk := list(itertools.islice(it, FFT_CHUNK)):
-        rows = [beat.mags if isinstance(beat, BeatRecord) else None for beat in chunk]
+        rows = [beat.mags for beat in chunk]
         new = [i for i, row in enumerate(rows) if row is None]
         if new:
-            if buf is None:
-                buf = np.empty((len(chunk), 2, SEGMENT_LEN), dtype=np.float64)
-            for k, i in enumerate(new):
-                buf[k] = _samples(chunk[i])
-            spectra = _spectra(buf[:len(new)])
+            spectra = _spectra(np.stack([chunk[i].samples for i in new]))
             spectra.flags.writeable = False
             for i, row in zip(new, spectra):
                 rows[i] = row
@@ -63,17 +50,16 @@ def _row_blocks(beats):
 def feature_chunks(beats):
     """Yield (beats, mags) for consecutive blocks of at most FFT_CHUNK beats.
 
-    `beats` may be any iterable of beat records or (2, SEGMENT_LEN) arrays.
-    The FFT runs once per block, over the beats that hold no cached feature
-    row, and each new row is cached on its record (arrays and lists are not
-    cached). So streaming the same record objects again in one process
-    makes no FFT call. Every yielded `mags` is a fresh array gathered from
-    the rows, equal to fft_features of the same beats bit for bit; writing
-    into it leaves the cached rows as they are.
+    `beats` may be any iterable of beat records. The FFT runs once per
+    block, over the records that hold no cached feature row, and each new
+    row is cached on its record. So streaming the same record objects again
+    in one process makes no FFT call. Every yielded `mags` is a fresh array
+    gathered from the rows, equal to fft_features of the same beats bit for
+    bit; writing into it leaves the cached rows as they are.
     """
     for chunk, rows in _row_blocks(beats):
         for beat, row in zip(chunk, rows):
-            if isinstance(beat, BeatRecord) and beat.mags is None:
+            if beat.mags is None:
                 object.__setattr__(beat, "mags", row)
         yield chunk, np.array(rows)
 
@@ -83,13 +69,17 @@ def fft_features(beat) -> np.ndarray:
 
     No window and no zero padding: the segment length is the transform
     length. Returns a float vector of length 254 (channel 0 bins first).
-    It always transforms the samples, and neither reads nor fills a cache.
+    `beat` is a beat record or a (2, SEGMENT_LEN) array. It always
+    transforms the samples, and neither reads nor fills a cache.
     """
-    return _spectra(_samples(beat)[None])[0]
+    samples = beat.samples if hasattr(beat, "samples") else np.asarray(beat, dtype=np.float64)
+    if samples.shape != (2, SEGMENT_LEN):
+        raise ValueError(f"expected (2, {SEGMENT_LEN}) samples, got {samples.shape}")
+    return _spectra(samples[None])[0]
 
 
 def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
-    """fft_features of every beat, stacked; returns (mags, labels).
+    """fft_features of every beat record, stacked; returns (mags, labels).
 
     Rows a record already holds are not transformed again, but no new row
     is cached: the matrix is the one copy of the rows.

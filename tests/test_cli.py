@@ -78,8 +78,9 @@ def workspace(tmp_path_factory):
 
 def test_pipeline_writes_all_artifacts(workspace):
     paths, _ = workspace
-    for name in ("train.csv", "test.csv", "manifest.json", "features.npz"):
+    for name in ("test.csv", "manifest.json", "features.npz"):
         assert (paths["data"] / name).exists()
+    assert not (paths["data"] / "train.csv").exists()
     assert paths["bayes"].exists() and paths["mlp"].exists()
     assert paths["state"].exists()
     for run in ("run_ideal", "run_a"):
@@ -486,6 +487,9 @@ def test_prepare_data_from_csv_source(tmp_path):
     result = _ok(["prepare-data", "--out", str(out_dir), "--source", "csv",
                   "--train-csv", str(train_csv), "--test-csv", str(test_csv)])
     assert "-> " in result.output
+    for name in ("test.csv", "manifest.json", "features.npz"):
+        assert (out_dir / name).exists()
+    assert not (out_dir / "train.csv").exists()
     with np.load(out_dir / "features.npz") as npz:
         assert npz["train_mags"].shape == (12, 254)
         assert npz["test_mags"].shape == (8, 254)

@@ -1,6 +1,7 @@
 """Beat segmentation, spectral features, bin ranking, and dataset plumbing."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wakesim.artifacts import load_json
 from wakesim.datapipe.beats import (
     SEGMENT_LEN,
     BeatRecord,
@@ -15,7 +17,6 @@ from wakesim.datapipe.beats import (
     ingest_wfdb_dir,
     load_wfdb_record,
     read_beats_csv,
-    read_manifest,
     segment_beat,
     write_beats_csv,
     write_manifest,
@@ -73,6 +74,21 @@ def test_beat_record_is_read_only():
 def test_beat_record_rejects_a_label_that_is_not_an_integer(label):
     with pytest.raises(ValueError, match="is not an integer"):
         BeatRecord(np.zeros((2, SEGMENT_LEN)), label, "r", 0)
+
+
+@pytest.mark.parametrize("shape", [(SEGMENT_LEN,), (1, SEGMENT_LEN), (2, SEGMENT_LEN - 1)])
+def test_beat_record_rejects_samples_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected samples of shape (2, 252), got {shape}")):
+        BeatRecord(np.zeros(shape), 0, "r", 0)
+
+
+def test_beat_records_compare_and_hash_by_identity():
+    samples = np.zeros((2, SEGMENT_LEN))
+    a = BeatRecord(samples, 0, "r", 0)
+    b = BeatRecord(samples, 0, "r", 0)
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2 and a in {a} and b not in {a}
 
 
 def test_beat_record_keeps_numpy_integer_labels():
@@ -384,17 +400,10 @@ def test_manifest_round_trip(tmp_path):
     ds = synth_dataset(4, 2, 0.5, test_per_class=1)
     path = tmp_path / "manifest.json"
     write_manifest(path, ds)
-    manifest = read_manifest(path)
+    manifest = load_json(path)
     assert manifest["seed"] == 4
     assert manifest["train"] == [[b.source_id, b.beat_index] for b in ds.train]
     assert manifest["test"] == [[b.source_id, b.beat_index] for b in ds.test]
-
-
-def test_manifest_missing_key(tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text('{"train": []}')
-    with pytest.raises(DataError, match="missing key"):
-        read_manifest(path)
 
 
 # ---------------------------------------------------------------------------
