@@ -29,9 +29,14 @@ def save_json(path, doc) -> None:
         fh.write(dump_json(doc))
 
 
+def _no_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_json(path):
+    """The JSON document at path; NaN, Infinity and -Infinity raise ValueError."""
     with open(path, "r") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_no_constant)
 
 
 def typed(value, kind, what: str):

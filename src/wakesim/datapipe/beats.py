@@ -29,9 +29,10 @@ class BeatRecord:
     A record is read-only. `samples` is a read-only float64 array that the
     record owns: an input that is a view of another array is copied, an
     array that owns its data is adopted and made read-only. `mags` is the
-    beat's FFT feature row once datapipe.features' feature_chunks has
-    computed it (None until then), a read-only view; it can be cached
-    because `samples` cannot change. Records compare and hash by identity.
+    beat's FFT feature row once datapipe.features' feature_matrix, the only
+    code that writes it, has computed it (None until then): a read-only row
+    view of the matrix that call returned. It can be cached because
+    `samples` cannot change. Records compare and hash by identity.
     """
 
     samples: np.ndarray

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -28,42 +27,6 @@ def _spectra(samples: np.ndarray) -> np.ndarray:
     return spect.reshape(len(samples), FEATURE_LEN)
 
 
-def _row_blocks(beats):
-    """Yield (beats, rows) for consecutive blocks of at most FFT_CHUNK records.
-
-    rows[i] is the feature row of beats[i]: the record's cached row if it
-    holds one, else a read-only row of one batched FFT over the block's
-    other records.
-    """
-    it = iter(beats)
-    while chunk := list(itertools.islice(it, FFT_CHUNK)):
-        rows = [beat.mags for beat in chunk]
-        new = [i for i, row in enumerate(rows) if row is None]
-        if new:
-            spectra = _spectra(np.stack([chunk[i].samples for i in new]))
-            spectra.flags.writeable = False
-            for i, row in zip(new, spectra):
-                rows[i] = row
-        yield chunk, rows
-
-
-def feature_chunks(beats):
-    """Yield (beats, mags) for consecutive blocks of at most FFT_CHUNK beats.
-
-    `beats` may be any iterable of beat records. The FFT runs once per
-    block, over the records that hold no cached feature row, and each new
-    row is cached on its record. So streaming the same record objects again
-    in one process makes no FFT call. Every yielded `mags` is a fresh array
-    gathered from the rows, equal to fft_features of the same beats bit for
-    bit; writing into it leaves the cached rows as they are.
-    """
-    for chunk, rows in _row_blocks(beats):
-        for beat, row in zip(chunk, rows):
-            if beat.mags is None:
-                object.__setattr__(beat, "mags", row)
-        yield chunk, np.array(rows)
-
-
 def fft_features(beat) -> np.ndarray:
     """Magnitudes of the length-252 DFT, bins 0..126 per channel, over 252.
 
@@ -81,17 +44,27 @@ def fft_features(beat) -> np.ndarray:
 def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
     """fft_features of every beat record, stacked; returns (mags, labels).
 
-    Rows a record already holds are not transformed again, but no new row
-    is cached: the matrix is the one copy of the rows.
+    `beats` is any iterable of beat records. Rows the records already hold
+    are copied, not transformed again. The batched FFT runs over the other
+    records in blocks of at most FFT_CHUNK, and each new row is cached on
+    its record as a row view of `mags`, which is read-only, so the cache
+    cannot be written through it.
     """
+    beats = list(beats)
     mags = np.empty((len(beats), FEATURE_LEN), dtype=np.float64)
-    labels = np.empty(len(beats), dtype=np.int64)
-    start = 0
-    for chunk, rows in _row_blocks(beats):
-        np.stack(rows, out=mags[start:start + len(chunk)])
-        labels[start:start + len(chunk)] = [b.label for b in chunk]
-        start += len(chunk)
-    return mags, labels
+    new = []
+    for i, beat in enumerate(beats):
+        if beat.mags is None:
+            new.append(i)
+        else:
+            mags[i] = beat.mags
+    for start in range(0, len(new), FFT_CHUNK):
+        block = new[start:start + FFT_CHUNK]
+        mags[block] = _spectra(np.stack([beats[i].samples for i in block]))
+    mags.flags.writeable = False
+    for i in new:
+        object.__setattr__(beats[i], "mags", mags[i])
+    return mags, np.array([beat.label for beat in beats], dtype=np.int64)
 
 
 def pearson_chi2(counts) -> float:

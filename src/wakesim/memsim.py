@@ -336,6 +336,9 @@ def load_array_state(path: str) -> tuple[ArrayState, OperatingPoint, ReadErrorMo
             meta = typed(json.loads(str(npz["meta"])), dict, "meta")
         if codes.ndim != 3 or not r_bl.shape == r_blb.shape == codes.shape + (WORD_BITS,):
             raise ValueError(f"r_bl {r_bl.shape}, r_blb {r_blb.shape} and codes {codes.shape} disagree")
+        for name, r in (("r_bl", r_bl), ("r_blb", r_blb)):
+            if not np.all(np.isfinite(r) & (r > 0)):
+                raise ValueError(f"{name} holds a resistance that is not finite and positive")
         state = ArrayState(
             r_bl=r_bl,
             r_blb=r_blb,

@@ -341,6 +341,14 @@ def save_classifier(path: str, clf: MlpClassifier) -> None:
     save_json(path, doc)
 
 
+def _scale(layer_doc: dict, key: str, where: str, kind=NUMBER):
+    """A layer's quantization scale: positive, or None where kind allows it."""
+    value = typed(layer_doc[key], kind, f"{where}.{key}")
+    if value is not None and not value > 0:
+        raise ValueError(f"{where}.{key} is {value}, expected a positive scale")
+    return value
+
+
 def load_classifier(path: str) -> MlpClassifier:
     with reading(path, "mlp model"):
         doc = typed(load_json(path), dict, "document")
@@ -372,10 +380,10 @@ def load_classifier(path: str) -> MlpClassifier:
             layers.append(QuantLayer(
                 w_q=_unblob(typed(layer_doc["weights"], str, f"{where}.weights"), "int8", shape),
                 b_q=bias.astype(np.int32),
-                s_w=typed(layer_doc["s_w"], NUMBER, f"{where}.s_w"),
-                s_in=typed(layer_doc["s_in"], NUMBER, f"{where}.s_in"),
+                s_w=_scale(layer_doc, "s_w", where),
+                s_in=_scale(layer_doc, "s_in", where),
                 zp_in=typed(layer_doc["zp_in"], int, f"{where}.zp_in"),
-                s_out=typed(layer_doc["s_out"], NULL if last else NUMBER, f"{where}.s_out"),
+                s_out=_scale(layer_doc, "s_out", where, NULL if last else NUMBER),
                 zp_out=typed(layer_doc["zp_out"], NULL if last else int, f"{where}.zp_out"),
             ))
         model = MlpModel(dims=tuple(dims), layers=layers, activation="relu")

@@ -7,12 +7,11 @@ end's label is final for that beat.
 
 run_features is the stream core: it takes a feature matrix in blocks and
 returns a StreamResult of per-beat columns (true, front and system labels,
-wake reason code, back-end error). run_stream feeds beat records through
-the same block step. Their features come from datapipe.features'
-feature_chunks, which runs one FFT per block over the beats that hold no
-cached feature row and caches the new rows, so streaming the same record
-objects again in one process (one split through several regimes) makes no
-FFT call.
+wake reason code, back-end error). run_stream is run_features over beat
+records: datapipe.features' feature_matrix gives their matrix, running the
+FFT only over records that hold no cached feature row and caching the new
+rows, so streaming the same record objects again in one process (one split
+through several regimes) makes no FFT call. Both go through one block loop.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 # perfbench's tracer patches wakectl.bayes_infer; the per-beat import can go with ROADMAP item 1.
 from .bayesfront import BayesModel, ClassScores, ScoreBatch, bayes_infer, bayes_infer_many
 from .datapipe.beats import N_CLASSES
-from .datapipe.features import FFT_CHUNK, feature_chunks
+from .datapipe.features import FFT_CHUNK, feature_matrix
 from .metrics import ConfusionMatrix, count_pairs
 
 
@@ -220,22 +219,25 @@ def _back_end(predict_features, predict_one, mags, woken: np.ndarray):
     return labels, failed
 
 
-def _run_block(true, mags, model: BayesModel, reader, predict_features, predict_one,
-               policy: WakePolicy) -> tuple[np.ndarray, ...]:
-    """StreamResult columns of one block: sleeps end as N, woken beats take the back end's label."""
-    front, reason = _front_end(mags, model, reader, policy)
-    woken = np.flatnonzero(reason)
-    labels, failed = _back_end(predict_features, predict_one, mags, woken)
-    system = np.zeros(len(front), dtype=np.int64)
-    system[woken] = np.where(failed, front[woken], labels)
-    error = np.zeros(len(front), dtype=bool)
-    error[woken] = failed
-    return np.asarray(true, dtype=np.int64), front, reason, system, error
+def _run_blocks(mags, true, model: BayesModel, reader, predict_features, predict_one,
+                policy: WakePolicy) -> StreamResult:
+    """StreamResult of a feature matrix, run in blocks of FFT_CHUNK rows.
 
-
-def _collect(blocks) -> StreamResult:
-    columns = list(zip(*blocks))
-    return StreamResult(*map(np.concatenate, columns)) if columns else StreamResult()
+    Per block, sleeps end as N and woken beats take the back end's label;
+    predict_one(i) labels matrix row i on its own.
+    """
+    columns = []
+    for start in range(0, len(mags), FFT_CHUNK):
+        block = mags[start:start + FFT_CHUNK]
+        front, reason = _front_end(block, model, reader, policy)
+        woken = np.flatnonzero(reason)
+        labels, failed = _back_end(predict_features, lambda i: predict_one(start + i), block, woken)
+        system = np.zeros(len(front), dtype=np.int64)
+        system[woken] = np.where(failed, front[woken], labels)
+        error = np.zeros(len(front), dtype=bool)
+        error[woken] = failed
+        columns.append((true[start:start + FFT_CHUNK], front, reason, system, error))
+    return StreamResult(*map(np.concatenate, zip(*columns))) if columns else StreamResult()
 
 
 def run_features(mags, labels, model: BayesModel, reader, backend,
@@ -255,32 +257,25 @@ def run_features(mags, labels, model: BayesModel, reader, backend,
     if mags.ndim != 2 or labels.shape != (len(mags),):
         raise ValueError(f"need (n, bins) magnitudes and n labels, got {mags.shape} and {labels.shape}")
     predict_features = backend.predict_features
-    blocks = []
-    for start in range(0, len(mags), FFT_CHUNK):
-        block = mags[start:start + FFT_CHUNK]
-        blocks.append(_run_block(labels[start:start + FFT_CHUNK], block, model, reader,
-                                 predict_features, lambda i: predict_features(block[i:i + 1])[0],
-                                 policy))
-    return _collect(blocks)
+    return _run_blocks(mags, labels, model, reader, predict_features,
+                       lambda i: predict_features(mags[i:i + 1])[0], policy)
 
 
 def run_stream(beats, model: BayesModel, reader, backend,
                policy: WakePolicy = WakePolicy()) -> StreamResult:
-    """run_features over beat records, with per-beat fallbacks.
+    """run_features over beat records, with a per-beat back-end fallback.
 
-    Each block of FFT_CHUNK beats gets its features from feature_chunks
-    (one FFT call over the beats without a cached row) and goes through the
-    same block step as run_features. Two per-beat paths remain for callers
-    that cannot take a block: a reader without read_many is called word by
-    word through bayes_infer, and a back end without predict_features, or
-    whose predict_features raises, labels each woken beat through
-    backend.predict(beat, mags). The outcomes are the same as beat by beat.
+    `beats` may be any iterable of beat records; their features come from
+    feature_matrix, which transforms only the records that hold no cached
+    row. The one difference from run_features: a back end without
+    predict_features, or whose predict_features raises, labels each woken
+    beat through backend.predict(beat, mags). The outcomes are the same as
+    beat by beat.
     """
-    predict_features = getattr(backend, "predict_features", None)
-    return _collect(
-        _run_block([b.label for b in chunk], mags, model, reader, predict_features,
-                   lambda i: backend.predict(chunk[i], mags[i]), policy)
-        for chunk, mags in feature_chunks(beats))
+    beats = list(beats)
+    mags, labels = feature_matrix(beats)
+    return _run_blocks(mags, labels, model, reader, getattr(backend, "predict_features", None),
+                       lambda i: backend.predict(beats[i], mags[i]), policy)
 
 
 @dataclass(frozen=True)

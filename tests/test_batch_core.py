@@ -1,8 +1,8 @@
 """The batch stream core against the per-beat, per-read reference paths.
 
 run_features and run_stream work on blocks of beats: one FFT call per
-block over the beats without a cached feature row (run_stream), one
-read_many per block, one integer forward pass for
+FFT_CHUNK records without a cached feature row (feature_matrix, which
+run_stream calls), one read_many per block, one integer forward pass for
 the woken rows, and a StreamResult of per-beat columns. Every test here
 pins a batched step to the scalar API it replaces, which stays public:
 fft_features, MemristorReader(c, f, l), bayes_infer, decide_wake,
@@ -21,11 +21,11 @@ from wakesim import memsim
 from wakesim.bayesfront import IdealReader, bayes_infer, bayes_infer_many
 from wakesim.datapipe import features
 from wakesim.datapipe.beats import N_CLASSES, SEGMENT_LEN, BeatRecord
-from wakesim.datapipe.features import FFT_CHUNK, feature_chunks, feature_matrix, fft_features
+from wakesim.datapipe.features import FEATURE_LEN, FFT_CHUNK, feature_matrix, fft_features
 from wakesim.mlpback import mlp_forward, mlp_infer
 from wakesim.report import build_report
 from wakesim.wakectl import (_REASONS, BeatOutcome, StreamResult, WakePolicy, decide_wake,
-                             run_features, run_stream, wake_codes)
+                             run_features, run_stream, wake_codes, wake_stats)
 
 # The seeds of the regime_streams fixture.
 PROGRAM_SEED = 5
@@ -79,40 +79,44 @@ def test_batched_fft_equals_per_beat_features(bench_dataset):
     mags, labels = feature_matrix(beats)
     assert np.array_equal(mags, reference)
     assert labels.tolist() == [b.label for b in beats]
-    blocks = list(feature_chunks(iter(beats[:FFT_CHUNK + 44])))
-    assert [len(chunk) for chunk, _ in blocks] == [FFT_CHUNK, 44]
-    assert np.array_equal(np.concatenate([m for _, m in blocks]), reference[:FFT_CHUNK + 44])
 
 
-def test_feature_chunks_reuses_no_yielded_block(bench_dataset):
-    beats = _fresh(bench_dataset.test[:2 * FFT_CHUNK + 7])
+def _counting_spectra(monkeypatch):
+    """The row counts of every _spectra call from here on."""
+    calls = []
+    spectra = features._spectra
+    monkeypatch.setattr(features, "_spectra", lambda samples: calls.append(len(samples)) or spectra(samples))
+    return calls
+
+
+def test_feature_matrix_keeps_cached_rows_and_caches_every_new_one(bench_dataset, monkeypatch):
+    beats = _fresh(bench_dataset.test[:3 * FFT_CHUNK + 7])
     reference = np.stack([fft_features(b) for b in beats])
-    list(feature_chunks(beats[::2]))  # caches every other record
+    feature_matrix(beats[::3])  # caches every third record
     cached = [b.mags for b in beats]
+    calls = _counting_spectra(monkeypatch)
     # cached and uncached records mixed, fed through a generator
-    blocks = list(feature_chunks(b for b in beats))
-    assert [len(chunk) for chunk, _ in blocks] == [FFT_CHUNK, FFT_CHUNK, 7]
-    assert np.array_equal(np.concatenate([m for _, m in blocks]), reference)
-    assert all((row is None) == (i % 2 == 1) for i, row in enumerate(cached))
-    assert all(b.mags is row for b, row in zip(beats[::2], cached[::2]))  # kept, not recomputed
-    assert all(b.mags is not None for b in beats)  # the rest are cached now
-    for _, block in blocks + list(feature_chunks(beats)):
-        block[:] = -1.0
+    mags, labels = feature_matrix(b for b in beats)
+    assert np.array_equal(mags, reference)
+    assert labels.tolist() == [b.label for b in beats]
+    assert calls == [FFT_CHUNK, FFT_CHUNK, len(beats) - len(beats[::3]) - 2 * FFT_CHUNK]
+    assert all((row is None) == (i % 3 != 0) for i, row in enumerate(cached))
+    assert all(b.mags is row for b, row in zip(beats[::3], cached[::3]))  # kept, not recomputed
+    assert all(b.mags is not None for b in beats)  # every new row is cached
+    assert all(np.shares_memory(b.mags, mags) for i, b in enumerate(beats) if i % 3)
     assert np.array_equal(np.stack([b.mags for b in beats]), reference)
 
 
-def test_feature_matrix_reads_cached_rows_and_caches_none(bench_dataset):
+def test_feature_matrix_returns_a_read_only_matrix(bench_dataset):
     beats = _fresh(bench_dataset.test[:FFT_CHUNK + 9])
     reference = np.stack([fft_features(b) for b in beats])
-    list(feature_chunks(beats[::3]))  # caches every third record
-    cached = [b.mags for b in beats]
-    mags, labels = feature_matrix(beats)  # cached and uncached records mixed
-    assert np.array_equal(mags, reference)
-    assert labels.tolist() == [b.label for b in beats]
-    mags[:] = -1.0  # the matrix is the caller's: writable, and no cached row is a view of it
-    assert all(b.mags is row for b, row in zip(beats, cached))
-    assert all((row is None) == (i % 3 != 0) for i, row in enumerate(cached))
-    assert np.array_equal(np.stack(cached[::3]), reference[::3])
+    feature_matrix(beats[::2])
+    for mags, _ in (feature_matrix(beats), feature_matrix(beats)):  # part cached, then all cached
+        with pytest.raises(ValueError, match="read-only"):
+            mags[:] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            beats[0].mags[0] = -1.0
+    assert np.array_equal(np.stack([b.mags for b in beats]), reference)
 
 
 def test_second_stream_over_the_same_beats_makes_no_fft_call(bench_dataset, bench_model,
@@ -296,6 +300,31 @@ def test_columnar_core_equals_the_per_beat_reference(tmp_path, bench_dataset, be
         assert doc["front_end"]["macro_f1_abnormal"] is None
         assert set(doc["system"]["per_class_f1"].values()) == {None}
         assert doc["wake"]["p_wake_abnormal"] is None
+
+
+def test_stream_over_a_generator_equals_the_stream_over_the_list(bench_dataset, bench_model,
+                                                                 bench_backend):
+    listed, generated = (_fresh(bench_dataset.test[:FFT_CHUNK + 30]) for _ in range(2))
+    for beats in (listed, generated):
+        feature_matrix(beats[::5])  # some records hold a cached row, the rest are transformed
+    from_list = run_stream(listed, bench_model, _preset_reader(bench_model, "B"), bench_backend)
+    from_generator = run_stream((b for b in generated), bench_model,
+                                _preset_reader(bench_model, "B"), bench_backend)
+    assert from_generator == from_list and from_list.n == len(listed)
+
+
+def test_empty_streams_give_an_empty_result(tmp_path, bench_model, bench_backend):
+    reader = IdealReader(bench_model)
+    streams = [run_stream([], bench_model, reader, bench_backend),
+               run_features(np.empty((0, FEATURE_LEN)), np.empty(0, dtype=np.int64),
+                            bench_model, reader, bench_backend)]
+    for stream in streams:
+        assert stream == StreamResult() and stream.n == 0
+        stream.write_trace(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == \
+            b"beat,true,front_pred,wake,reason,system_pred\r\n"
+        stats = wake_stats(stream)
+        assert stats.p_wake_abnormal is None and stats.p_wake_normal is None
 
 
 class _RowFlakyBackend:

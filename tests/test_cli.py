@@ -277,18 +277,52 @@ def _assert_one_error_line(result, codes=(2, 3, 4)):
     assert re.fullmatch(r"wakesim: error: (config|data|runtime): [^\n]+\n", result.stderr), result.stderr
 
 
-@pytest.mark.parametrize("artifact, content", [
-    ("bayes_model.json", lambda doc: doc.pop("quantizers")),
-    ("mlp_model.json", lambda doc: doc["layers"][0].pop("s_w")),
-    ("report.json", {"hello": 1}),
-    ("report.json", [1, 2]),
-    ("state.npz", b"garbage, not an archive"),
-], ids=["bayes-no-quantizers", "mlp-no-s_w", "report-other-object", "report-list", "state-garbage"])
-def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path, artifact, content):
+def _resistance(name: str, value: float, every: bool = False):
+    """An edit of an array state's arrays: one resistance of `name`, or all of them, set to value."""
+    def edit(arrays):
+        if every:
+            arrays[name][...] = value
+        else:
+            arrays[name].flat[17] = value
+    return edit
+
+
+@pytest.mark.parametrize("artifact, content, message", [
+    ("bayes_model.json", lambda doc: doc.pop("quantizers"), "missing key 'quantizers'"),
+    ("mlp_model.json", lambda doc: doc["layers"][0].pop("s_w"), "missing key 's_w'"),
+    ("report.json", {"hello": 1}, "missing key"),
+    ("report.json", [1, 2], "report is list"),
+    ("state.npz", b"garbage, not an archive", "not an .npz archive"),
+    ("bayes_model.json", lambda doc: doc["codec"].update(base=float("nan")), "NaN is not a JSON number"),
+    ("mlp_model.json", lambda doc: doc["layers"][0].update(s_w=float("nan")), "NaN is not a JSON number"),
+    ("mlp_model.json", lambda doc: doc["input"]["clip_lo"].__setitem__(0, float("inf")),
+     "Infinity is not a JSON number"),
+    ("report.json", lambda doc: doc["energy"][0].update(e_avg=float("-inf")),
+     "-Infinity is not a JSON number"),
+    ("mlp_model.json", lambda doc: doc["layers"][0].update(s_out=0.0),
+     "layers[0].s_out is 0.0, expected a positive scale"),
+    ("mlp_model.json", lambda doc: doc["layers"][1].update(s_in=-0.5),
+     "layers[1].s_in is -0.5, expected a positive scale"),
+    ("state.npz", _resistance("r_bl", np.nan, every=True), "r_bl holds a resistance that is not finite"),
+    ("state.npz", _resistance("r_blb", np.nan), "r_blb holds a resistance that is not finite"),
+    ("state.npz", _resistance("r_bl", np.inf), "r_bl holds a resistance that is not finite"),
+    ("state.npz", _resistance("r_blb", 0.0), "r_blb holds a resistance that is not finite and positive"),
+    ("state.npz", _resistance("r_bl", -2e4), "r_bl holds a resistance that is not finite and positive"),
+], ids=["bayes-no-quantizers", "mlp-no-s_w", "report-other-object", "report-list", "state-garbage",
+        "bayes-nan", "mlp-nan-s_w", "mlp-inf-clip", "report-minus-inf", "mlp-zero-s_out",
+        "mlp-negative-s_in", "state-all-nan", "state-one-nan", "state-inf", "state-zero",
+        "state-negative"])
+def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path, artifact, content,
+                                                            message):
     paths, _ = workspace
     path = tmp_path / artifact
     if isinstance(content, bytes):
         path.write_bytes(content)
+    elif artifact == "state.npz":
+        with np.load(_source(paths, artifact)) as npz:
+            arrays = dict(npz)
+        content(arrays)
+        np.savez(path, **arrays)
     elif callable(content):
         doc = json.loads(_source(paths, artifact).read_text())
         content(doc)
@@ -298,6 +332,7 @@ def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path,
     result = _invoke(_loading(paths, artifact, path))
     _assert_one_error_line(result, codes=(3,))
     assert f"wakesim: error: data: {path}: malformed" in result.stderr
+    assert message in result.stderr
 
 
 def _json_kind(value) -> str:
