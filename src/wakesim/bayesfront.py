@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifacts import NUMBER, load_json, reading, save_json, typed, typed_list
 from .datapipe.beats import CLASS_NAMES, N_CLASSES
-from .datapipe.features import FEATURE_LEN
+from .datapipe.features import check_bins
 from .datapipe.quantizers import QuantizerSpec, fit_quantizer, quantize
 from .metrics import count_pairs
 
@@ -304,8 +304,7 @@ def load_bayes_model(path: str) -> BayesModel:
                          scale=typed(codec_doc["scale"], int, "codec.scale"),
                          width=typed(codec_doc["width"], int, "codec.width"))
         bins = tuple(typed_list(doc["feature_bins"], int, "feature_bins"))
-        if not all(0 <= b < FEATURE_LEN for b in bins):
-            raise ValueError(f"feature_bins: a bin lies outside 0..{FEATURE_LEN - 1}")
+        check_bins(bins, "feature_bins")
         quantizers = tuple(
             QuantizerSpec(clip_lo=typed(q["clip_lo"], NUMBER, f"quantizers[{i}].clip_lo"),
                           clip_hi=typed(q["clip_hi"], NUMBER, f"quantizers[{i}].clip_hi"),

@@ -67,6 +67,18 @@ def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
     return mags, np.array([beat.label for beat in beats], dtype=np.int64)
 
 
+def check_bins(bins, what: str) -> None:
+    """Raise ValueError naming `what` unless bins are distinct feature bins.
+
+    A repeated bin would count that bin's evidence twice.
+    """
+    if not all(0 <= b < FEATURE_LEN for b in bins):
+        raise ValueError(f"{what}: a bin lies outside 0..{FEATURE_LEN - 1}")
+    repeated = [b for i, b in enumerate(bins) if b in bins[:i]]
+    if repeated:
+        raise ValueError(f"{what}: repeated bin {repeated[0]}")
+
+
 def pearson_chi2(counts) -> float:
     """Pearson chi-square statistic of a contingency table.
 

@@ -19,7 +19,7 @@ fully set by its (key, counter) pair, so these streams are positions of
 one generator that a reader re-keys, and the reader keeps only a read
 count per address. Repeated reads of a word get disjoint noise, and the
 noise of a read does not depend on the order of reads to other addresses,
-so `MemristorReader.read_many` can serve a whole block of reads grouped by
+so `MemristorReader.read_many` can serve a whole stream of reads grouped by
 address and return exactly what the same sequence of single reads would.
 
 The shipped operating-regime presets are calibration constants chosen so the

@@ -5,13 +5,16 @@ predicted class N, no tie with an abnormal class, and a valid (non
 underflowed) minimum score. Anything else wakes the back end, and the back
 end's label is final for that beat.
 
-run_features is the stream core: it takes a feature matrix in blocks and
-returns a StreamResult of per-beat columns (true, front and system labels,
-wake reason code, back-end error). run_stream is run_features over beat
-records: datapipe.features' feature_matrix gives their matrix, running the
-FFT only over records that hold no cached feature row and caching the new
-rows, so streaming the same record objects again in one process (one split
-through several regimes) makes no FFT call. Both go through one block loop.
+run_features is the stream core: it runs a whole feature matrix as one
+batch (one read_many call for the front end, one predict_features call for
+the woken rows) and returns a StreamResult of per-beat columns (true, front
+and system labels, wake reason code, back-end error). The batch size cannot
+change a result: read noise is counter-based per address and the back end
+is row-independent. run_stream is run_features over beat records:
+datapipe.features' feature_matrix gives their matrix, running the FFT only
+over records that hold no cached feature row and caching the new rows, so
+streaming the same record objects again in one process (one split through
+several regimes) makes no FFT call.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 # perfbench's tracer patches wakectl.bayes_infer; the per-beat import can go with ROADMAP item 1.
 from .bayesfront import BayesModel, ClassScores, ScoreBatch, bayes_infer, bayes_infer_many
 from .datapipe.beats import N_CLASSES
-from .datapipe.features import FFT_CHUNK, feature_matrix
+from .datapipe.features import feature_matrix
 from .metrics import ConfusionMatrix, count_pairs
 
 
@@ -181,7 +184,7 @@ def wake_codes(batch: ScoreBatch, policy: WakePolicy = WakePolicy()) -> np.ndarr
 
 
 def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):
-    """(front-end labels, wake reason codes) of a block of beats.
+    """(front-end labels, wake reason codes) of a matrix of beats.
 
     Readers with read_many take one batched pass; any other word-reader
     callable goes beat by beat through bayes_infer and decide_wake.
@@ -196,7 +199,7 @@ def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):
 
 
 def _back_end(predict_features, predict_one, mags, woken: np.ndarray):
-    """(labels, failed) of the woken rows of a block.
+    """(labels, failed) of the woken rows of a stream.
 
     predict_features labels all woken rows in one call. If it is None, or
     that call raises, predict_one(i) labels each row on its own, so one
@@ -219,46 +222,42 @@ def _back_end(predict_features, predict_one, mags, woken: np.ndarray):
     return labels, failed
 
 
-def _run_blocks(mags, true, model: BayesModel, reader, predict_features, predict_one,
-                policy: WakePolicy) -> StreamResult:
-    """StreamResult of a feature matrix, run in blocks of FFT_CHUNK rows.
+def _run(mags, true, model: BayesModel, reader, predict_features, predict_one,
+         policy: WakePolicy) -> StreamResult:
+    """StreamResult of a feature matrix, run as one batch.
 
-    Per block, sleeps end as N and woken beats take the back end's label;
+    Sleeps end as N and woken beats take the back end's label;
     predict_one(i) labels matrix row i on its own.
     """
-    columns = []
-    for start in range(0, len(mags), FFT_CHUNK):
-        block = mags[start:start + FFT_CHUNK]
-        front, reason = _front_end(block, model, reader, policy)
-        woken = np.flatnonzero(reason)
-        labels, failed = _back_end(predict_features, lambda i: predict_one(start + i), block, woken)
-        system = np.zeros(len(front), dtype=np.int64)
-        system[woken] = np.where(failed, front[woken], labels)
-        error = np.zeros(len(front), dtype=bool)
-        error[woken] = failed
-        columns.append((true[start:start + FFT_CHUNK], front, reason, system, error))
-    return StreamResult(*map(np.concatenate, zip(*columns))) if columns else StreamResult()
+    front, reason = _front_end(mags, model, reader, policy)
+    woken = np.flatnonzero(reason)
+    labels, failed = _back_end(predict_features, predict_one, mags, woken)
+    system = np.zeros(len(front), dtype=np.int64)
+    system[woken] = np.where(failed, front[woken], labels)
+    error = np.zeros(len(front), dtype=bool)
+    error[woken] = failed
+    return StreamResult(true, front, reason, system, error)
 
 
 def run_features(mags, labels, model: BayesModel, reader, backend,
                  policy: WakePolicy = WakePolicy()) -> StreamResult:
     """Run the full system over a feature matrix and its true labels.
 
-    Rows are processed in blocks of FFT_CHUNK. Per block: quantize the
-    selected bins, infer through the word reader (one read_many call, or
-    word by word for a plain callable) and apply the wake rule. A sleeping
-    beat is finalized as N; a woken beat takes the back end's label from
-    one backend.predict_features call over the block's woken rows. If that
-    call raises, each woken row is retried on its own, and a row that still
-    fails is recorded as a back-end error and keeps its front-end label.
+    The whole matrix is one batch: quantize the selected bins, infer
+    through the word reader (one read_many call, or word by word for a
+    plain callable) and apply the wake rule. A sleeping beat is finalized
+    as N; a woken beat takes the back end's label from one
+    backend.predict_features call over all woken rows. If that call raises,
+    each woken row is retried on its own, and a row that still fails is
+    recorded as a back-end error and keeps its front-end label.
     """
     mags = np.asarray(mags, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)  # a copy: the result's true column
     if mags.ndim != 2 or labels.shape != (len(mags),):
         raise ValueError(f"need (n, bins) magnitudes and n labels, got {mags.shape} and {labels.shape}")
     predict_features = backend.predict_features
-    return _run_blocks(mags, labels, model, reader, predict_features,
-                       lambda i: predict_features(mags[i:i + 1])[0], policy)
+    return _run(mags, labels, model, reader, predict_features,
+                lambda i: predict_features(mags[i:i + 1])[0], policy)
 
 
 def run_stream(beats, model: BayesModel, reader, backend,
@@ -274,8 +273,8 @@ def run_stream(beats, model: BayesModel, reader, backend,
     """
     beats = list(beats)
     mags, labels = feature_matrix(beats)
-    return _run_blocks(mags, labels, model, reader, getattr(backend, "predict_features", None),
-                       lambda i: backend.predict(beats[i], mags[i]), policy)
+    return _run(mags, labels, model, reader, getattr(backend, "predict_features", None),
+                lambda i: backend.predict(beats[i], mags[i]), policy)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """The batch stream core against the per-beat, per-read reference paths.
 
-run_features and run_stream work on blocks of beats: one FFT call per
-FFT_CHUNK records without a cached feature row (feature_matrix, which
-run_stream calls), one read_many per block, one integer forward pass for
-the woken rows, and a StreamResult of per-beat columns. Every test here
+run_features and run_stream run a whole stream as one batch: one FFT call
+per FFT_CHUNK records without a cached feature row (feature_matrix, which
+run_stream calls), one read_many for the stream, one predict_features call
+for its woken rows, and a StreamResult of per-beat columns. Every test here
 pins a batched step to the scalar API it replaces, which stays public:
 fft_features, MemristorReader(c, f, l), bayes_infer, decide_wake,
-mlp_infer and backend.predict(beat, mags).
+mlp_infer and backend.predict(beat, mags). Cutting a stream into pieces
+changes no result either.
 """
 
 import csv
@@ -325,6 +326,55 @@ def test_empty_streams_give_an_empty_result(tmp_path, bench_model, bench_backend
             b"beat,true,front_pred,wake,reason,system_pred\r\n"
         stats = wake_stats(stream)
         assert stats.p_wake_abnormal is None and stats.p_wake_normal is None
+
+
+class _CountingReader:
+    """A reader that counts its read_many calls."""
+
+    def __init__(self, reader):
+        self._reader = reader
+        self.read_many_calls = 0
+
+    def read_many(self, class_ids, features, levels):
+        self.read_many_calls += 1
+        return self._reader.read_many(class_ids, features, levels)
+
+
+class _CountingBackend:
+    """A back end that counts its predict_features calls."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.calls = 0
+
+    def predict_features(self, mags_matrix):
+        self.calls += 1
+        return self._backend.predict_features(mags_matrix)
+
+
+@pytest.mark.parametrize("name", ["B", "C"])
+def test_cutting_a_stream_changes_no_result(bench_test, bench_model, bench_backend, name):
+    mags, labels = bench_test
+    whole = run_features(mags, labels, bench_model, _preset_reader(bench_model, name), bench_backend)
+    reader = _preset_reader(bench_model, name)  # carried across the cuts
+    cuts = [0, 1, FFT_CHUNK - 1, FFT_CHUNK, FFT_CHUNK + 1, 1000, len(mags)]
+    pieces = [run_features(mags[lo:hi], labels[lo:hi], bench_model, reader, bench_backend)
+              for lo, hi in zip(cuts, cuts[1:])]
+    joined = StreamResult(*(np.concatenate([getattr(p, f.name) for p in pieces])
+                            for f in fields(StreamResult)))
+    assert joined == whole and whole.n == len(mags)
+    assert whole.backend_errors == 0 and (whole.reason != 0).sum() > 1000
+
+
+def test_a_stream_makes_one_read_many_call_and_one_backend_call(bench_test, bench_model,
+                                                                bench_backend):
+    mags, labels = bench_test
+    reader = _CountingReader(_preset_reader(bench_model, "B"))
+    backend = _CountingBackend(bench_backend)
+    result = run_features(mags, labels, bench_model, reader, backend)
+    assert result.n == len(mags) and (result.reason != 0).any() and result.backend_errors == 0
+    assert reader.read_many_calls == 1
+    assert backend.calls == 1
 
 
 class _RowFlakyBackend:

@@ -308,10 +308,19 @@ def _resistance(name: str, value: float, every: bool = False):
     ("state.npz", _resistance("r_bl", np.inf), "r_bl holds a resistance that is not finite"),
     ("state.npz", _resistance("r_blb", 0.0), "r_blb holds a resistance that is not finite and positive"),
     ("state.npz", _resistance("r_bl", -2e4), "r_bl holds a resistance that is not finite and positive"),
+    ("mlp_model.json", lambda doc: doc["input"]["clip_lo"].__setitem__(0, doc["input"]["clip_hi"][0] + 1.0),
+     "must be below clip_hi[0]"),
+    ("mlp_model.json", lambda doc: doc["input"]["clip_lo"].__setitem__(0, doc["input"]["clip_hi"][0]),
+     "must be below clip_hi[0]"),
+    ("bayes_model.json", lambda doc: doc["feature_bins"].__setitem__(2, doc["feature_bins"][0]),
+     "feature_bins: repeated bin"),
+    ("mlp_model.json", lambda doc: doc["input"]["bins"].__setitem__(5, doc["input"]["bins"][1]),
+     "input.bins: repeated bin"),
 ], ids=["bayes-no-quantizers", "mlp-no-s_w", "report-other-object", "report-list", "state-garbage",
         "bayes-nan", "mlp-nan-s_w", "mlp-inf-clip", "report-minus-inf", "mlp-zero-s_out",
         "mlp-negative-s_in", "state-all-nan", "state-one-nan", "state-inf", "state-zero",
-        "state-negative"])
+        "state-negative", "mlp-clip-crossed", "mlp-clip-equal", "bayes-repeated-bin",
+        "mlp-repeated-bin"])
 def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path, artifact, content,
                                                             message):
     paths, _ = workspace

@@ -8,13 +8,17 @@ import pytest
 from wakesim.mlpback import (
     INPUT_SCALE,
     INPUT_ZERO_POINT,
+    MLP_TILE,
     InputQuantizer,
     MlpFloat,
+    MlpModel,
+    QuantLayer,
     TrainConfig,
     fit_backend,
     fit_input_quantizer,
     load_classifier,
     loss_and_grads,
+    mlp_forward,
     mlp_infer,
     quantize_mlp,
     save_classifier,
@@ -57,6 +61,12 @@ def test_input_quantizer_clips_out_of_range():
     q = InputQuantizer(clip_lo=np.array([0.0]), clip_hi=np.array([1.0]))
     assert q(np.array([-5.0]))[0] == -128
     assert q(np.array([5.0]))[0] == 127
+
+
+@pytest.mark.parametrize("lo", [1.0, 2.0])
+def test_input_quantizer_rejects_a_clip_not_below_its_high_clip(lo):
+    with pytest.raises(ValueError, match=r"clip_lo\[1\] .* must be below clip_hi\[1\] 1.0"):
+        InputQuantizer(clip_lo=np.array([0.0, lo]), clip_hi=np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +249,58 @@ def test_integer_inference_matches_float_simulation(bench_backend):
         pred, logits = mlp_infer(x_q, model)
         assert np.array_equal(logits.astype(np.float64), logits_f)
         assert pred == int(np.argmax(logits_f))
+
+
+def _untiled_forward(q_inputs, model):
+    """The forward pass in one untiled chain: int32 activations, int64 accumulators."""
+    x = np.asarray(q_inputs, dtype=np.int32)
+    for layer in model.layers:
+        acc = ((x - layer.zp_in).astype(np.float64) @ layer.w_q.T.astype(np.float64)
+               ).astype(np.int64) + layer.b_q
+        if layer.s_out is None:
+            logits = acc.astype(np.int32)
+        else:
+            multiplier = layer.s_in * layer.s_w / layer.s_out
+            q = np.rint(acc * multiplier) + layer.zp_out
+            x = np.clip(q, -128, 127).astype(np.int32)
+    return np.argmax(logits, axis=1), logits
+
+
+def _extreme_model(rng, dims):
+    """A quantized network with every weight at +-127 and random scales and biases."""
+    layers = []
+    s_in, zp_in = INPUT_SCALE, INPUT_ZERO_POINT
+    for i, (n_in, n_out) in enumerate(zip(dims, dims[1:])):
+        s_w = float(rng.uniform(1e-3, 1e-1))
+        # multipliers from 1e-5 to 1e-2: outputs from mostly saturated to mostly in range
+        s_out = None if i == len(dims) - 2 else s_in * s_w / 10 ** rng.uniform(-5, -2)
+        layers.append(QuantLayer(
+            w_q=rng.choice(np.array([-127, 127], dtype=np.int8), size=(n_out, n_in)),
+            b_q=rng.integers(-2**14, 2**14, size=n_out).astype(np.int32),
+            s_w=s_w, s_in=s_in, zp_in=zp_in, s_out=s_out,
+            zp_out=None if s_out is None else -128))
+        s_in, zp_in = s_out, -128
+    return MlpModel(dims=tuple(dims), layers=layers)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, MLP_TILE - 1, MLP_TILE, MLP_TILE + 1, 2 * MLP_TILE + 7])
+def test_tiled_forward_equals_the_untiled_integer_pass(bench_backend, n_rows):
+    rng = np.random.default_rng(n_rows)
+    models = [bench_backend.model, _extreme_model(rng, (32, 74, 100, 4)),
+              _extreme_model(rng, (32, 74, 100, 4)), _extreme_model(rng, (32, 4))]
+    for model in models:
+        shape = (n_rows, model.dims[0])
+        # half the inputs at the int8 extremes -128 and 127
+        x = np.where(rng.random(shape) < 0.5, rng.choice([-128, 127], size=shape),
+                     rng.integers(-128, 128, size=shape)).astype(np.int8)
+        preds, logits = mlp_forward(x, model)
+        want_preds, want_logits = _untiled_forward(x, model)
+        assert logits.dtype == np.int32 and logits.shape == (n_rows, model.dims[-1])
+        assert np.array_equal(logits, want_logits)
+        assert np.array_equal(preds, want_preds)
+        for row, pred, row_logits in zip(x, preds.tolist(), logits):
+            one_pred, one_logits = mlp_infer(row, model)
+            assert one_pred == pred and np.array_equal(one_logits, row_logits)
 
 
 # ---------------------------------------------------------------------------
