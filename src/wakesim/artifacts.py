@@ -33,10 +33,15 @@ def _no_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def parse_json(text: str):
+    """The JSON document in text; NaN, Infinity and -Infinity raise ValueError."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def load_json(path):
-    """The JSON document at path; NaN, Infinity and -Infinity raise ValueError."""
+    """parse_json of the file at path."""
     with open(path, "r") as fh:
-        return json.load(fh, parse_constant=_no_constant)
+        return parse_json(fh.read())
 
 
 def typed(value, kind, what: str):

@@ -18,11 +18,12 @@ import numpy as np
 from .artifacts import NUMBER, load_json, reading, save_json, typed, typed_list
 from .datapipe.beats import CLASS_NAMES, N_CLASSES
 from .datapipe.features import check_bins
-from .datapipe.quantizers import QuantizerSpec, fit_quantizer, quantize
+from .datapipe.quantizers import N_LEVELS, QuantizerSpec, fit_quantizer, quantize
 from .metrics import count_pairs
 
+# The one model shape: N_CLASSES classes, N_FEATURES feature bins, N_LEVELS
+# levels per bin, so a code table has N_CLASSES * N_FEATURES * N_LEVELS words.
 N_FEATURES = 4
-N_LEVELS = 8
 SMOOTHING_SIGMA = 1.0
 
 # Probabilities below 2**-16 are not representable on the 16-bit
@@ -71,28 +72,25 @@ def invalid_threshold(codec: LogCodec = LogCodec(), underflow_bits: int = UNDERF
     return math.floor(bound) + 1
 
 
-def fit_likelihoods(levels, labels, n_classes: int = N_CLASSES, n_levels: int = N_LEVELS,
-                    sigma: float = SMOOTHING_SIGMA) -> np.ndarray:
+def fit_likelihoods(levels, labels) -> np.ndarray:
     """Per-class, per-feature level histograms with Gaussian smoothing.
 
-    Raw counts c_j are convolved with exp(-(l-j)^2 / (2 sigma^2)) and
-    normalized, which keeps every level strictly positive for any class
-    with at least one training beat.
+    Raw counts c_j are convolved with exp(-(l-j)^2 / (2 sigma^2)), sigma =
+    SMOOTHING_SIGMA, and normalized, which keeps every level strictly
+    positive for any class with at least one training beat.
 
-    Returns probabilities of shape (n_classes, n_features, n_levels).
+    Returns probabilities of shape (N_CLASSES, n_features, N_LEVELS).
     """
     levels = np.asarray(levels, dtype=np.int64)
     if levels.ndim != 2:
         raise ValueError("levels must be (n_beats, n_features)")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     n_features = levels.shape[1]
-    grid = np.arange(n_levels)
-    kernel = np.exp(-((grid[:, None] - grid[None, :]) ** 2) / (2.0 * sigma * sigma))
-    probs = np.empty((n_classes, n_features, n_levels))
+    grid = np.arange(N_LEVELS)
+    kernel = np.exp(-((grid[:, None] - grid[None, :]) ** 2) / (2.0 * SMOOTHING_SIGMA**2))
+    probs = np.empty((N_CLASSES, n_features, N_LEVELS))
     for f in range(n_features):
-        counts = count_pairs(labels, levels[:, f], n_classes, n_levels).astype(np.float64)
-        for c in range(n_classes):
+        counts = count_pairs(labels, levels[:, f], N_CLASSES, N_LEVELS).astype(np.float64)
+        for c in range(N_CLASSES):
             if not counts[c].any():
                 raise ValueError(f"class {c} has no training beats")
             smoothed = kernel @ counts[c]
@@ -106,23 +104,20 @@ class BayesModel:
 
     feature_bins: tuple[int, ...]
     quantizers: tuple[QuantizerSpec, ...]
-    codes: np.ndarray  # (n_classes, n_features, n_levels), uint8
+    codes: np.ndarray  # (N_CLASSES, N_FEATURES, N_LEVELS), uint8
     codec: LogCodec
-    class_names: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=np.uint8)
-        expected = (len(self.class_names), len(self.feature_bins), N_LEVELS)
+        expected = (N_CLASSES, N_FEATURES, N_LEVELS)
         if self.codes.shape != expected:
             raise ValueError(f"code table shape {self.codes.shape} != {expected}")
+        if not len(self.feature_bins) == len(self.quantizers) == N_FEATURES:
+            raise ValueError(f"need {N_FEATURES} feature bins, with one quantizer each")
 
     @cached_property
     def invalid_threshold(self) -> int:
         return invalid_threshold(self.codec)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_bins)
 
     def quantize_features(self, mags) -> list[int]:
         """Quantized level of each selected bin of one feature vector."""
@@ -203,7 +198,7 @@ def fit_bayes_model(mags, labels, ranked_bins, codec: LogCodec = LogCodec()) -> 
     bins = tuple(int(b) for b, _ in ranked_bins[:N_FEATURES])
     if len(bins) < N_FEATURES:
         raise ValueError(f"need at least {N_FEATURES} ranked bins")
-    quantizers = tuple(fit_quantizer(mags[:, b], labels, N_LEVELS) for b in bins)
+    quantizers = tuple(fit_quantizer(mags[:, b], labels) for b in bins)
     probs = fit_likelihoods(bin_levels(mags, bins, quantizers), labels)
     codes = np.empty_like(probs, dtype=np.uint8)
     for idx, p in np.ndenumerate(probs):
@@ -219,8 +214,8 @@ def bayes_infer(levels, model: BayesModel, reader) -> ClassScores:
     bayes_infer_many.
     """
     scores = [
-        sum(int(reader(c, f, int(levels[f]))) for f in range(model.n_features))
-        for c in range(len(model.class_names))
+        sum(int(reader(c, f, int(levels[f]))) for f in range(N_FEATURES))
+        for c in range(N_CLASSES)
     ]
     smin = min(scores)
     predicted = scores.index(smin)
@@ -237,7 +232,7 @@ def bayes_infer(levels, model: BayesModel, reader) -> ClassScores:
 class ScoreBatch:
     """Outcomes of a batch of front-end inferences, one row per beat."""
 
-    scores: np.ndarray  # (n_beats, n_classes), int64
+    scores: np.ndarray  # (n_beats, N_CLASSES), int64
     predicted: np.ndarray
     tie_with_normal: np.ndarray
     invalid: np.ndarray
@@ -261,9 +256,8 @@ def bayes_infer_many(levels, model: BayesModel, reader) -> ScoreBatch:
     """
     levels = np.asarray(levels, dtype=np.int64)
     n_beats, n_features = levels.shape
-    n_classes = len(model.class_names)
-    shape = (n_beats, n_classes, n_features)
-    class_ids = np.broadcast_to(np.arange(n_classes)[None, :, None], shape)
+    shape = (n_beats, N_CLASSES, n_features)
+    class_ids = np.broadcast_to(np.arange(N_CLASSES)[None, :, None], shape)
     features = np.broadcast_to(np.arange(n_features)[None, None, :], shape)
     words = reader.read_many(class_ids.ravel(), features.ravel(),
                              np.broadcast_to(levels[:, None, :], shape).ravel())
@@ -287,11 +281,11 @@ def save_bayes_model(path: str, model: BayesModel) -> None:
         "codec": {"base": model.codec.base, "scale": model.codec.scale, "width": model.codec.width},
         "feature_bins": list(model.feature_bins),
         "quantizers": [
-            {"clip_lo": q.clip_lo, "clip_hi": q.clip_hi, "levels": q.levels}
+            {"clip_lo": q.clip_lo, "clip_hi": q.clip_hi, "levels": N_LEVELS}
             for q in model.quantizers
         ],
         "codes": [int(v) for v in model.codes.reshape(-1)],
-        "class_names": list(model.class_names),
+        "class_names": list(CLASS_NAMES),
     }
     save_json(path, doc)
 
@@ -303,19 +297,20 @@ def load_bayes_model(path: str) -> BayesModel:
         codec = LogCodec(base=typed(codec_doc["base"], NUMBER, "codec.base"),
                          scale=typed(codec_doc["scale"], int, "codec.scale"),
                          width=typed(codec_doc["width"], int, "codec.width"))
-        bins = tuple(typed_list(doc["feature_bins"], int, "feature_bins"))
+        if typed_list(doc["class_names"], str, "class_names") != list(CLASS_NAMES):
+            raise ValueError(f"class_names {doc['class_names']} differ from {list(CLASS_NAMES)}")
+        bins = tuple(typed_list(doc["feature_bins"], int, "feature_bins", N_FEATURES))
         check_bins(bins, "feature_bins")
+        quantizer_docs = typed_list(doc["quantizers"], dict, "quantizers", N_FEATURES)
+        if any(typed(q["levels"], int, f"quantizers[{i}].levels") != N_LEVELS
+               for i, q in enumerate(quantizer_docs)):
+            raise ValueError(f"quantizers: every quantizer needs {N_LEVELS} levels")
         quantizers = tuple(
             QuantizerSpec(clip_lo=typed(q["clip_lo"], NUMBER, f"quantizers[{i}].clip_lo"),
-                          clip_hi=typed(q["clip_hi"], NUMBER, f"quantizers[{i}].clip_hi"),
-                          levels=typed(q["levels"], int, f"quantizers[{i}].levels"))
-            for i, q in enumerate(typed_list(doc["quantizers"], dict, "quantizers", len(bins)))
+                          clip_hi=typed(q["clip_hi"], NUMBER, f"quantizers[{i}].clip_hi"))
+            for i, q in enumerate(quantizer_docs)
         )
-        if any(q.levels != N_LEVELS for q in quantizers):
-            raise ValueError(f"quantizers: every quantizer needs {N_LEVELS} levels")
-        class_names = tuple(typed_list(doc["class_names"], str, "class_names"))
         codes = np.array(typed_list(doc["codes"], int, "codes"), dtype=np.int64)
         if ((codes < 0) | (codes > codec.code_max)).any():
             raise ValueError(f"codes: a code lies outside 0..{codec.code_max}")
-        codes = codes.reshape(len(class_names), len(bins), N_LEVELS)
-        return BayesModel(bins, quantizers, codes, codec, class_names)
+        return BayesModel(bins, quantizers, codes.reshape(N_CLASSES, N_FEATURES, N_LEVELS), codec)

@@ -100,8 +100,8 @@ def pearson_chi2(counts) -> float:
     return math.fsum(diff * diff / expected[mask])
 
 
-def cell_counts(values, class_ids, n_classes: int, n_cells: int = N_CELLS) -> np.ndarray:
-    """Contingency table of equal-width value cells against class labels.
+def cell_counts(values, class_ids, n_classes: int) -> np.ndarray:
+    """Contingency table of N_CELLS equal-width value cells against class labels.
 
     The cell grid spans the observed [min, max] of `values`; a constant
     column collapses into a single cell (and scores zero association).
@@ -110,10 +110,10 @@ def cell_counts(values, class_ids, n_classes: int, n_cells: int = N_CELLS) -> np
     lo = values.min()
     hi = values.max()
     if hi > lo:
-        cells = np.minimum(((values - lo) / (hi - lo) * n_cells).astype(np.int64), n_cells - 1)
+        cells = np.minimum(((values - lo) / (hi - lo) * N_CELLS).astype(np.int64), N_CELLS - 1)
     else:
         cells = np.zeros(len(values), dtype=np.int64)
-    return count_pairs(cells, class_ids, n_cells, n_classes)
+    return count_pairs(cells, class_ids, N_CELLS, n_classes)
 
 
 def chi2_rank(mags, labels) -> list[tuple[int, float]]:

@@ -15,32 +15,33 @@ from .features import pearson_chi2
 LO_PERCENTILES = (0.0, 1.0, 2.0, 5.0)
 HI_PERCENTILES = (95.0, 98.0, 99.0, 100.0)
 
+# Levels per quantizer: a level indexes one of the 8 words a feature stores
+# per class.
+N_LEVELS = 8
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
     clip_lo: float
     clip_hi: float
-    levels: int = 8
 
     def __post_init__(self):
         if not self.clip_lo < self.clip_hi:
             raise ValueError(f"clip_lo {self.clip_lo} must be below clip_hi {self.clip_hi}")
-        if self.levels < 2:
-            raise ValueError("need at least two levels")
 
 
 def quantize(value, spec: QuantizerSpec):
-    """Map a value (or array) onto integer levels 0..levels-1.
+    """Map a value (or array) onto integer levels 0..N_LEVELS-1.
 
-    level = floor((v - lo) / (hi - lo) * levels), clamped at both ends.
+    level = floor((v - lo) / (hi - lo) * N_LEVELS), clamped at both ends.
     """
     v = np.asarray(value, dtype=np.float64)
-    scaled = np.floor((v - spec.clip_lo) / (spec.clip_hi - spec.clip_lo) * spec.levels)
-    out = np.clip(scaled, 0, spec.levels - 1).astype(np.int64)
+    scaled = np.floor((v - spec.clip_lo) / (spec.clip_hi - spec.clip_lo) * N_LEVELS)
+    out = np.clip(scaled, 0, N_LEVELS - 1).astype(np.int64)
     return int(out) if np.isscalar(value) or out.ndim == 0 else out
 
 
-def fit_quantizer(values, labels, levels: int = 8) -> QuantizerSpec:
+def fit_quantizer(values, labels) -> QuantizerSpec:
     """Pick clip bounds that maximize class association after quantization.
 
     Searches the percentile grid above, scores each candidate by the
@@ -64,8 +65,8 @@ def fit_quantizer(values, labels, levels: int = 8) -> QuantizerSpec:
             hi = float(np.percentile(v, hi_p))
             if not lo < hi:
                 continue
-            spec = QuantizerSpec(lo, hi, levels)
-            score = pearson_chi2(count_pairs(quantize(v, spec), class_ids, levels, len(classes)))
+            spec = QuantizerSpec(lo, hi)
+            score = pearson_chi2(count_pairs(quantize(v, spec), class_ids, N_LEVELS, len(classes)))
             key = (score, hi - lo)
             if best_key is None or key > best_key:
                 best, best_key = spec, key

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import NUMBER, reading, typed, typed_list
+from .artifacts import NUMBER, parse_json, reading, typed, typed_list
 from .bayesfront import BayesModel, word_address, word_addresses
 
 WORD_BITS = 8
@@ -75,6 +75,21 @@ def _interp(table: tuple[tuple[float, float], ...], x: float) -> float:
     return float(np.interp(x, xs, ys))
 
 
+def _check_table(table, what: str) -> None:
+    """Raise ValueError naming `what` unless table is an (x, y) table _interp can read.
+
+    That is: not empty, every number finite, and x strictly increasing, as
+    np.interp requires (it does not check, and answers wrongly otherwise).
+    """
+    if not table:
+        raise ValueError(f"{what} is empty")
+    if not all(math.isfinite(v) for pair in table for v in pair):
+        raise ValueError(f"{what} holds a number that is not finite")
+    xs = [x for x, _ in table]
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"{what}: x values {xs} are not strictly increasing")
+
+
 @dataclass(frozen=True)
 class DeviceDistributions:
     """Lognormal device parameters, in log10 ohms.
@@ -90,6 +105,8 @@ class DeviceDistributions:
     hrs_log10_sigma: float
 
     def __post_init__(self):
+        _check_table(self.lrs_log10_mean_table, "lrs_log10_mean_table")
+        _check_table(self.lrs_log10_sigma_table, "lrs_log10_sigma_table")
         # Written so that NaN fails every check.
         if not 0 <= self.hrs_log10_sigma < math.inf:
             raise ValueError("hrs sigma must be finite and nonnegative")
@@ -114,13 +131,12 @@ class ReadErrorModel:
     sigma_n_table: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        prev = None
-        for v, s in self.sigma_n_table:
-            if not s >= 0:
-                raise ValueError("sigma_n must be nonnegative")
-            if prev is not None and s > prev:
-                raise ValueError("sigma_n must be nonincreasing in vdd")
-            prev = s
+        _check_table(self.sigma_n_table, "sigma_n_table")
+        sigmas = [s for _, s in self.sigma_n_table]
+        if min(sigmas) < 0:
+            raise ValueError("sigma_n must be nonnegative")
+        if any(a < b for a, b in zip(sigmas, sigmas[1:])):
+            raise ValueError("sigma_n must be nonincreasing in vdd")
 
     def sigma_n(self, vdd: float) -> float:
         return _interp(self.sigma_n_table, vdd)
@@ -333,7 +349,7 @@ def load_array_state(path: str) -> tuple[ArrayState, OperatingPoint, ReadErrorMo
             raise ValueError("not an .npz archive")
         with np.load(path, allow_pickle=False) as npz:
             r_bl, r_blb, codes = npz["r_bl"], npz["r_blb"], npz["codes"]
-            meta = typed(json.loads(str(npz["meta"])), dict, "meta")
+            meta = typed(parse_json(str(npz["meta"])), dict, "meta")
         if codes.ndim != 3 or not r_bl.shape == r_blb.shape == codes.shape + (WORD_BITS,):
             raise ValueError(f"r_bl {r_bl.shape}, r_blb {r_blb.shape} and codes {codes.shape} disagree")
         for name, r in (("r_bl", r_bl), ("r_blb", r_blb)):

@@ -39,8 +39,8 @@ class ConfusionMatrix:
             raise ValueError("counts must be nonnegative")
 
     @classmethod
-    def from_pairs(cls, true_labels, predicted_labels, n_classes: int = N_CLASSES):
-        return cls(count_pairs(true_labels, predicted_labels, n_classes, n_classes))
+    def from_pairs(cls, true_labels, predicted_labels):
+        return cls(count_pairs(true_labels, predicted_labels, N_CLASSES, N_CLASSES))
 
     @property
     def n_classes(self) -> int:

@@ -10,7 +10,8 @@ Integer inference is the reference arithmetic: int8 weights, int32
 accumulators, bias add, then requantization by a real-valued multiplier
 with round-half-to-even and clamping. Hidden activations are calibrated to
 [0, max] so the ReLU folds into the requantization clamp. Final-layer
-logits stay int32 and the argmax (lowest index on ties) is the prediction.
+logits, one per class, stay int32 and the argmax (lowest index on ties) is
+the prediction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import NULL, NUMBER, load_json, reading, save_json, typed, typed_list
+from .datapipe.beats import N_CLASSES
 from .datapipe.features import check_bins
 from .errors import TrainingDiverged
 
@@ -141,7 +143,7 @@ def loss_and_grads(model: MlpFloat, x: np.ndarray, y: np.ndarray):
 
 
 def train_mlp(inputs, labels, config: TrainConfig = TrainConfig(),
-              hidden_dims: tuple[int, ...] = HIDDEN_DIMS, n_classes: int = 4) -> MlpFloat:
+              hidden_dims: tuple[int, ...] = HIDDEN_DIMS) -> MlpFloat:
     """Plain minibatch gradient descent, deterministic for a seed.
 
     Initialization, batch order, and accumulation order are all fixed by
@@ -151,7 +153,7 @@ def train_mlp(inputs, labels, config: TrainConfig = TrainConfig(),
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(config.seed)
-    dims = (x.shape[1],) + tuple(hidden_dims) + (n_classes,)
+    dims = (x.shape[1],) + tuple(hidden_dims) + (N_CLASSES,)
     weights = [
         rng.normal(0.0, np.sqrt(2.0 / dims[i]), size=(dims[i + 1], dims[i]))
         for i in range(len(dims) - 1)
@@ -196,7 +198,6 @@ class QuantLayer:
 class MlpModel:
     dims: tuple[int, ...]
     layers: list[QuantLayer]
-    activation: str = "relu"
     float_ref: MlpFloat | None = None
 
 
@@ -340,7 +341,7 @@ def _unblob(text: str, dtype: str, shape) -> np.ndarray:
 def save_classifier(path: str, clf: MlpClassifier) -> None:
     doc = {
         "dims": list(clf.model.dims),
-        "activation": clf.model.activation,
+        "activation": "relu",
         "input": {
             "bins": list(clf.bins),
             "clip_lo": [float(v) for v in clf.input_quantizer.clip_lo],
@@ -377,8 +378,8 @@ def load_classifier(path: str) -> MlpClassifier:
     with reading(path, "mlp model"):
         doc = typed(load_json(path), dict, "document")
         dims = typed_list(doc["dims"], int, "dims")
-        if len(dims) < 2:
-            raise ValueError("dims needs an input and an output width")
+        if len(dims) < 2 or dims[-1] != N_CLASSES:
+            raise ValueError(f"dims {dims} need an input width and {N_CLASSES} outputs, one per class")
         if typed(doc["activation"], str, "activation") != "relu":
             raise ValueError(f"activation {doc['activation']!r} is not relu")
         input_doc = typed(doc["input"], dict, "input")
@@ -409,5 +410,5 @@ def load_classifier(path: str) -> MlpClassifier:
                 s_out=_scale(layer_doc, "s_out", where, NULL if last else NUMBER),
                 zp_out=typed(layer_doc["zp_out"], NULL if last else int, f"{where}.zp_out"),
             ))
-        model = MlpModel(dims=tuple(dims), layers=layers, activation="relu")
+        model = MlpModel(dims=tuple(dims), layers=layers)
         return MlpClassifier(bins, quantizer, model)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wakesim.bayesfront import IdealReader, fit_bayes_model
+from wakesim.bayesfront import BayesModel, IdealReader, LogCodec, fit_bayes_model
 from wakesim.datapipe import wfdb212
 from wakesim.datapipe.beats import SEGMENT_LEN
 from wakesim.datapipe.features import chi2_rank, feature_matrix
+from wakesim.datapipe.quantizers import QuantizerSpec
 from wakesim.datapipe.synthetic import synth_beat, synth_dataset
 from wakesim.mlpback import TrainConfig, fit_backend
 from wakesim.wakectl import _REASONS, StreamResult, run_stream
@@ -83,6 +84,21 @@ def regime_streams(bench_dataset, bench_model, bench_backend):
         reader = memsim.MemristorReader(state, op, noise, seed=READ_SEED)
         out[name] = run_stream(bench_dataset.test, bench_model, reader, bench_backend)
     return out
+
+
+@pytest.fixture(scope="session")
+def stub_model():
+    """Build a BayesModel around a hand-made (4, 4, 8) code table, for tests of reads and inference."""
+
+    def build(codes) -> BayesModel:
+        return BayesModel(
+            feature_bins=(0, 1, 2, 3),
+            quantizers=tuple(QuantizerSpec(0.0, 1.0) for _ in range(4)),
+            codes=np.asarray(codes, dtype=np.uint8),
+            codec=LogCodec(),
+        )
+
+    return build
 
 
 @pytest.fixture(scope="session")

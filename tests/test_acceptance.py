@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from wakesim.bayesfront import (
-    BayesModel,
     IdealReader,
     LogCodec,
     bayes_infer,
@@ -23,7 +22,6 @@ from wakesim.bayesfront import (
 from wakesim.data import default_rates_fixture
 from wakesim.datapipe.beats import balanced_split, ingest_wfdb_dir
 from wakesim.datapipe.features import chi2_rank, feature_matrix
-from wakesim.datapipe.quantizers import QuantizerSpec
 from wakesim.datapipe.wfdb212 import (
     decode_212,
     encode_212,
@@ -116,16 +114,7 @@ ZERO_SIGMA = DeviceDistributions(
 QUIET = ReadErrorModel(sigma_n_table=((0.5, 0.0), (1.4, 0.0)))
 
 
-def _stub_model(codes) -> BayesModel:
-    return BayesModel(
-        feature_bins=(0, 1, 2, 3),
-        quantizers=tuple(QuantizerSpec(0.0, 1.0, 8) for _ in range(4)),
-        codes=np.asarray(codes, dtype=np.uint8),
-        codec=LogCodec(),
-    )
-
-
-def test_criterion_05_fault_free_paths_agree_with_float_oracle():
+def test_criterion_05_fault_free_paths_agree_with_float_oracle(stub_model):
     op = OperatingPoint(vdd=1.2, vddr=2.4)
     rng = np.random.default_rng(505)
     log10_of_code = [math.log10(decode_log(c)) for c in range(256)]
@@ -133,7 +122,7 @@ def test_criterion_05_fault_free_paths_agree_with_float_oracle():
     checked = 0
     for m in range(100):
         codes = rng.integers(0, 256, size=(4, 4, 8))
-        model = _stub_model(codes)
+        model = stub_model(codes)
         state = program_arrays(model, ZERO_SIGMA, op.vddr, seed=600 + m)
         through_array = MemristorReader(state, op, QUIET, seed=900 + m)
         ideal = IdealReader(model)
@@ -178,7 +167,7 @@ def test_criterion_06_degradation_and_system_recovery(regime_streams):
           + f"; preset-C normal wakes {reasons} mostly ambiguous/invalid")
 
 
-def test_criterion_07_normal_finalizes_only_on_strict_valid_minimum():
+def test_criterion_07_normal_finalizes_only_on_strict_valid_minimum(stub_model):
     rng = np.random.default_rng(707)
     n = 100_000
     codes = rng.integers(0, 256, size=(n, 4, 4))
@@ -188,7 +177,7 @@ def test_criterion_07_normal_finalizes_only_on_strict_valid_minimum():
     codes[::97, 1] = codes[::97, 0]
     sums = codes.sum(axis=2)
     expect_sleep = (sums[:, 0] < sums[:, 1:].min(axis=1)) & (sums[:, 0] < 94)
-    model = _stub_model(np.zeros((4, 4, 8)))
+    model = stub_model(np.zeros((4, 4, 8)))
     for k in range(n):
         row = codes[k]
         scores = bayes_infer([0, 0, 0, 0], model,

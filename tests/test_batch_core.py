@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wakesim import memsim
-from wakesim.bayesfront import IdealReader, bayes_infer, bayes_infer_many
+from wakesim.bayesfront import N_FEATURES, IdealReader, bayes_infer, bayes_infer_many
 from wakesim.datapipe import features
 from wakesim.datapipe.beats import N_CLASSES, SEGMENT_LEN, BeatRecord
 from wakesim.datapipe.features import FEATURE_LEN, FFT_CHUNK, feature_matrix, fft_features
@@ -160,7 +160,7 @@ def test_read_many_equals_the_same_single_reads(bench_model):
 
 
 def test_batched_inference_equals_bayes_infer(bench_model):
-    levels = np.random.default_rng(7).integers(0, 8, size=(500, bench_model.n_features))
+    levels = np.random.default_rng(7).integers(0, 8, size=(500, N_FEATURES))
     for reader, twin in ((IdealReader(bench_model), IdealReader(bench_model)),
                          (_preset_reader(bench_model, "C"), _preset_reader(bench_model, "C"))):
         batch = bayes_infer_many(levels, bench_model, reader)

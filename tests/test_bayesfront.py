@@ -160,8 +160,6 @@ def test_fit_likelihoods_validation():
     levels, labels = _levels_all_at(3)
     with pytest.raises(ValueError, match="no training beats"):
         fit_likelihoods(levels, np.zeros(len(levels), dtype=np.int64))
-    with pytest.raises(ValueError, match="sigma"):
-        fit_likelihoods(levels, labels, sigma=0.0)
     with pytest.raises(ValueError, match="n_beats, n_features"):
         fit_likelihoods(levels[:, 0], labels)
 
@@ -171,17 +169,8 @@ def test_fit_likelihoods_validation():
 # ---------------------------------------------------------------------------
 
 
-def _model_from_codes(codes):
-    return BayesModel(
-        feature_bins=(0, 1, 2, 3),
-        quantizers=tuple(QuantizerSpec(0.0, 1.0, 8) for _ in range(4)),
-        codes=np.asarray(codes, dtype=np.uint8),
-        codec=LogCodec(),
-    )
-
-
-def test_infer_all_equal_codes_is_a_normal_tie():
-    model = _model_from_codes(np.full((4, 4, 8), 10))
+def test_infer_all_equal_codes_is_a_normal_tie(stub_model):
+    model = stub_model(np.full((4, 4, 8), 10))
     scores = bayes_infer([0, 0, 0, 0], model, IdealReader(model))
     assert scores.scores == (40, 40, 40, 40)
     assert scores.predicted == 0
@@ -189,29 +178,29 @@ def test_infer_all_equal_codes_is_a_normal_tie():
     assert scores.invalid is False
 
 
-def test_infer_zero_code_class_wins():
+def test_infer_zero_code_class_wins(stub_model):
     codes = np.full((4, 4, 8), 10)
     codes[2] = 0
-    model = _model_from_codes(codes)
+    model = stub_model(codes)
     scores = bayes_infer([1, 2, 3, 4], model, IdealReader(model))
     assert scores.predicted == 2
     assert scores.scores[2] == 0
     assert scores.tie_with_normal is False
 
 
-def test_infer_stuck_high_is_invalid():
-    model = _model_from_codes(np.full((4, 4, 8), 255))
+def test_infer_stuck_high_is_invalid(stub_model):
+    model = stub_model(np.full((4, 4, 8), 255))
     scores = bayes_infer([7, 7, 7, 7], model, IdealReader(model))
     assert scores.scores == (1020, 1020, 1020, 1020)
     assert scores.invalid is True
     assert scores.tie_with_normal is True
 
 
-def test_infer_prediction_is_shift_invariant():
+def test_infer_prediction_is_shift_invariant(stub_model):
     rng = np.random.default_rng(1)
     codes = rng.integers(0, 200, size=(4, 4, 8))
-    model = _model_from_codes(codes)
-    shifted = _model_from_codes(codes + 55)
+    model = stub_model(codes)
+    shifted = stub_model(codes + 55)
     for _ in range(50):
         levels = rng.integers(0, 8, size=4)
         a = bayes_infer(levels, model, IdealReader(model))
@@ -220,28 +209,30 @@ def test_infer_prediction_is_shift_invariant():
         assert a.tie_with_normal == b.tie_with_normal
 
 
-def test_invalid_band_boundary_scores():
+def test_invalid_band_boundary_scores(stub_model):
     codes = np.zeros((4, 4, 8), dtype=np.uint8)
     # per-class sums land exactly at threshold-1 and threshold
     for total, expected_invalid in ((93, False), (94, True)):
         codes[:, 0, 0] = total - 3
         codes[:, 1:, 0] = 1
-        model = _model_from_codes(codes)
+        model = stub_model(codes)
         scores = bayes_infer([0, 0, 0, 0], model, IdealReader(model))
         assert scores.scores[0] == total
         assert scores.invalid is expected_invalid
 
 
-def test_model_validates_code_shape():
+def test_model_validates_code_shape(stub_model):
     with pytest.raises(ValueError):
-        _model_from_codes(np.zeros((4, 4, 7)))
+        stub_model(np.zeros((4, 4, 7)))
+    with pytest.raises(ValueError, match="4 feature bins, with one quantizer each"):
+        BayesModel((0, 1, 2), (QuantizerSpec(0.0, 1.0),) * 3, np.zeros((4, 4, 8)), LogCodec())
 
 
 def test_quantize_features_uses_selected_bins():
     codes = np.zeros((4, 4, 8))
     model = BayesModel(
         feature_bins=(3, 1, 0, 2),
-        quantizers=tuple(QuantizerSpec(0.0, 8.0, 8) for _ in range(4)),
+        quantizers=tuple(QuantizerSpec(0.0, 8.0) for _ in range(4)),
         codes=codes.astype(np.uint8),
         codec=LogCodec(),
     )
@@ -296,7 +287,6 @@ def test_save_load_round_trip(tmp_path, bench_model):
     assert back.feature_bins == bench_model.feature_bins
     assert back.quantizers == bench_model.quantizers
     assert back.codec == bench_model.codec
-    assert back.class_names == bench_model.class_names
 
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -5,6 +5,7 @@ prepare/train/program/run chain stays fast; the full-size numbers live in
 tests/test_acceptance.py.
 """
 
+import base64
 import csv
 import json
 import os
@@ -287,6 +288,34 @@ def _resistance(name: str, value: float, every: bool = False):
     return edit
 
 
+def _meta(key: str, value):
+    """An edit of an array state's arrays: meta[key] set to value (json.dumps writes inf as Infinity)."""
+    def edit(arrays):
+        arrays["meta"] = np.array(json.dumps({**json.loads(str(arrays["meta"])), key: value}))
+    return edit
+
+
+def _five_classes(doc):
+    doc["class_names"].append("Q")
+    doc["codes"] += doc["codes"][:32]
+
+
+def _three_bins(doc):
+    del doc["feature_bins"][3], doc["quantizers"][3]
+    # codes are class-major: word i belongs to feature (i // 8) % 4
+    doc["codes"] = [code for i, code in enumerate(doc["codes"]) if i // 8 % 4 != 3]
+
+
+def _six_outputs(doc):
+    """Two more output rows, all zero, on the last layer."""
+    last = doc["layers"][-1]
+    rows, cols = last["shape"]
+    for key, pad in (("weights", bytes(2 * cols)), ("bias", bytes(2 * 4))):
+        last[key] = base64.b64encode(base64.b64decode(last[key]) + pad).decode("ascii")
+    last["shape"] = [rows + 2, cols]
+    doc["dims"][-1] = rows + 2
+
+
 @pytest.mark.parametrize("artifact, content, message", [
     ("bayes_model.json", lambda doc: doc.pop("quantizers"), "missing key 'quantizers'"),
     ("mlp_model.json", lambda doc: doc["layers"][0].pop("s_w"), "missing key 's_w'"),
@@ -316,11 +345,19 @@ def _resistance(name: str, value: float, every: bool = False):
      "feature_bins: repeated bin"),
     ("mlp_model.json", lambda doc: doc["input"]["bins"].__setitem__(5, doc["input"]["bins"][1]),
      "input.bins: repeated bin"),
+    ("bayes_model.json", _five_classes, "class_names ['N', 'L', 'R', 'P', 'Q'] differ"),
+    ("bayes_model.json", _three_bins, "feature_bins has 3 entries, expected 4"),
+    ("mlp_model.json", _six_outputs, "need an input width and 4 outputs"),
+    ("state.npz", _meta("sigma_n_table", []), "sigma_n_table is empty"),
+    ("state.npz", _meta("sigma_n_table", [[1.2, 3.8], [0.8, 0.08]]),
+     "sigma_n_table: x values [1.2, 0.8] are not strictly increasing"),
+    ("state.npz", _meta("sigma_n_table", [[0.7, float("inf")], [1.2, 0.08]]), "Infinity is not a JSON number"),
 ], ids=["bayes-no-quantizers", "mlp-no-s_w", "report-other-object", "report-list", "state-garbage",
         "bayes-nan", "mlp-nan-s_w", "mlp-inf-clip", "report-minus-inf", "mlp-zero-s_out",
         "mlp-negative-s_in", "state-all-nan", "state-one-nan", "state-inf", "state-zero",
         "state-negative", "mlp-clip-crossed", "mlp-clip-equal", "bayes-repeated-bin",
-        "mlp-repeated-bin"])
+        "mlp-repeated-bin", "bayes-five-classes", "bayes-three-bins", "mlp-six-outputs",
+        "state-empty-sigma-table", "state-descending-sigma-table", "state-infinity-token"])
 def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path, artifact, content,
                                                             message):
     paths, _ = workspace
@@ -456,6 +493,8 @@ def _command(paths, tmp_path, name: str) -> list[str]:
      "[operating_point]: hrs sigma must be finite and nonnegative"),
     ("program", _TABLES.replace("sigma_n = 0.7:5.0", "sigma_n = 0.7:nan"), [],
      "[operating_point] sigma_n: non-finite pair '0.7:nan'"),
+    ("program", _TABLES.replace("2.0:4.8", "2.0:4.8,2.0:4.7"), [],
+     "[operating_point]: lrs_log10_mean_table: x values [1.0, 2.0, 2.0, 3.0] are not strictly increasing"),
     ("sweep", "", ["--ts=-1"], "--ts: t_s must be finite and nonnegative"),
     ("sweep", "", ["--ts", "nan"], "--ts: non-finite entry in 'nan'"),
     ("sweep", "", ["--ts", "inf"], "--ts: non-finite entry in 'inf'"),
@@ -475,7 +514,7 @@ def _command(paths, tmp_path, name: str) -> list[str]:
     ("sweep", "[DEFAULT]\nseed = 4\n", [], "[DEFAULT]: unknown section"),
 ], ids=["codec-base", "codec-width", "batch-size", "epochs", "lr-nan", "beats-per-class",
         "test-per-class", "source", "policy-bool", "pi-range", "percent", "empty-ts", "empty-vdd",
-        "preset-and-tables", "partial-tables", "e-service-nan", "hrs-sigma-nan", "table-nan",
+        "preset-and-tables", "partial-tables", "e-service-nan", "hrs-sigma-nan", "table-nan", "table-repeated-x",
         "ts-negative", "ts-nan", "ts-inf", "vdd-nan", "vdd-negative", "vdd-zero", "dataset-seed", "train-seed", "program-seed",
         "run-seed-negative", "run-seed-2**64", "run-seed-file", "unknown-key", "stale-e-fe-curve",
         "unknown-table-key", "unknown-section", "default-section"])

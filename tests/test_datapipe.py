@@ -311,13 +311,11 @@ def test_ranking_survives_heavy_noise_monte_carlo():
 
 def test_quantizer_spec_validation():
     with pytest.raises(ValueError):
-        QuantizerSpec(1.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        QuantizerSpec(0.0, 1.0, 1)
+        QuantizerSpec(1.0, 1.0)
 
 
 def test_quantize_values():
-    spec = QuantizerSpec(0.0, 8.0, 8)
+    spec = QuantizerSpec(0.0, 8.0)
     assert quantize(3.5, spec) == 3
     assert quantize(-1.0, spec) == 0
     assert quantize(99.0, spec) == 7
@@ -330,7 +328,7 @@ def test_fit_quantizer_separates_point_masses():
     values = np.array([0.0] * 30 + [1.0] * 30)
     labels = np.array([0] * 30 + [1] * 30)
     spec = fit_quantizer(values, labels)
-    assert (spec.clip_lo, spec.clip_hi, spec.levels) == (0.0, 1.0, 8)
+    assert (spec.clip_lo, spec.clip_hi) == (0.0, 1.0)
     assert quantize(0.0, spec) == 0
     assert quantize(1.0, spec) == 7
 
@@ -355,7 +353,7 @@ def test_fit_quantizer_validation():
     lambda v: max(v) > min(v)))
 @settings(max_examples=100)
 def test_quantize_stays_in_range_property(vals):
-    spec = QuantizerSpec(min(vals), max(vals), 8)
+    spec = QuantizerSpec(min(vals), max(vals))
     out = quantize(np.array(vals), spec)
     assert out.min() >= 0 and out.max() <= 7
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from wakesim.bayesfront import BayesModel, IdealReader, LogCodec
-from wakesim.datapipe.quantizers import QuantizerSpec
+from wakesim.bayesfront import IdealReader
 from wakesim.memsim import (
     ArrayState,
     DeviceDistributions,
@@ -31,15 +30,6 @@ ZERO_SIGMA_DISTS = DeviceDistributions(
 )
 
 QUIET_NOISE = ReadErrorModel(sigma_n_table=((0.5, 0.0), (1.4, 0.0)))
-
-
-def _model_from_codes(codes):
-    return BayesModel(
-        feature_bins=(0, 1, 2, 3),
-        quantizers=tuple(QuantizerSpec(0.0, 1.0, 8) for _ in range(4)),
-        codes=np.asarray(codes, dtype=np.uint8),
-        codec=LogCodec(),
-    )
 
 
 class _FlatError:
@@ -86,6 +76,24 @@ def test_read_error_model_validation():
         ReadErrorModel(sigma_n_table=((0.7, -1.0),))
     # flat tables are legal
     ReadErrorModel(sigma_n_table=((0.7, 1.0), (1.2, 1.0)))
+
+
+@pytest.mark.parametrize("table, message", [
+    ((), "is empty"),
+    (((1.2, 3.8), (0.8, 0.08)), "not strictly increasing"),
+    (((0.8, 3.8), (0.8, 0.08)), "not strictly increasing"),
+    (((0.8, 3.8), (math.nan, 0.08)), "not finite"),
+    (((0.8, math.inf), (1.2, 0.08)), "not finite"),
+], ids=["empty", "descending", "repeated-x", "nan-x", "infinite-y"])
+def test_interpolation_tables_are_checked(table, message):
+    # np.interp reads a table with x out of order without complaint, and
+    # wrongly: sigma_n(1.2) of the descending table would be 0.08.
+    with pytest.raises(ValueError, match=f"sigma_n_table.*{message}"):
+        ReadErrorModel(sigma_n_table=table)
+    with pytest.raises(ValueError, match=f"lrs_log10_mean_table.*{message}"):
+        DeviceDistributions(table, ((1.0, 0.1),), 6.0, 0.1)
+    with pytest.raises(ValueError, match=f"lrs_log10_sigma_table.*{message}"):
+        DeviceDistributions(((1.0, 4.0),), table, 6.0, 0.1)
 
 
 def test_code_bits_msb_first():
@@ -139,8 +147,8 @@ def test_flip_probability_monotone_in_margin_and_vdd():
 # ---------------------------------------------------------------------------
 
 
-def test_programming_is_deterministic_per_seed():
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+def test_programming_is_deterministic_per_seed(stub_model):
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     a = program_arrays(model, ZERO_SIGMA_DISTS, 2.0, seed=1)
     b = program_arrays(model, ZERO_SIGMA_DISTS, 2.0, seed=1)
     assert np.array_equal(a.r_bl, b.r_bl) and np.array_equal(a.r_blb, b.r_blb)
@@ -151,9 +159,9 @@ def test_programming_is_deterministic_per_seed():
     assert c.codes is not model.codes  # stored codes are a private copy
 
 
-def test_zero_sigma_routing_and_margins():
+def test_zero_sigma_routing_and_margins(stub_model):
     codes = np.arange(128).reshape(4, 4, 8)
-    model = _model_from_codes(codes)
+    model = stub_model(codes)
     state = program_arrays(model, ZERO_SIGMA_DISTS, 2.0, seed=0)
     bits = code_bits(model.codes)
     assert np.array_equal(state.r_bl, np.where(bits == 1, 1e4, 1e6))
@@ -163,9 +171,9 @@ def test_zero_sigma_routing_and_margins():
     assert np.array_equal(m, np.full_like(m, 2.0))
 
 
-def test_programmed_resistances_follow_the_stated_distributions():
+def test_programmed_resistances_follow_the_stated_distributions(stub_model):
     # all-ones codes route every low-state draw to the BL device
-    model = _model_from_codes(np.full((4, 4, 8), 255))
+    model = stub_model(np.full((4, 4, 8), 255))
     _, dists, _ = regime_preset("A")
     vddr = 2.0
     lrs, hrs = [], []
@@ -184,8 +192,8 @@ def test_programmed_resistances_follow_the_stated_distributions():
     assert d_hrs < 0.05
 
 
-def test_window_narrows_as_programming_supply_drops():
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+def test_window_narrows_as_programming_supply_drops(stub_model):
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     _, dists, _ = regime_preset("A")
     wide = margins(program_arrays(model, dists, 2.4, seed=3)).mean()
     narrow = margins(program_arrays(model, dists, 1.5, seed=3)).mean()
@@ -197,9 +205,9 @@ def test_window_narrows_as_programming_supply_drops():
 # ---------------------------------------------------------------------------
 
 
-def test_quiet_read_returns_stored_words():
+def test_quiet_read_returns_stored_words(stub_model):
     codes = np.arange(128).reshape(4, 4, 8)
-    model = _model_from_codes(codes)
+    model = stub_model(codes)
     state = program_arrays(model, ZERO_SIGMA_DISTS, 2.0, seed=0)
     op = OperatingPoint(1.2, 2.0)
     reader = MemristorReader(state, op, QUIET_NOISE, seed=0)
@@ -209,8 +217,8 @@ def test_quiet_read_returns_stored_words():
                 assert reader(c, f, l) == codes[c, f, l]
 
 
-def test_reader_seed_must_be_one_64_bit_key_word():
-    state = program_arrays(_model_from_codes(np.zeros((4, 4, 8))), ZERO_SIGMA_DISTS, 2.0, seed=0)
+def test_reader_seed_must_be_one_64_bit_key_word(stub_model):
+    state = program_arrays(stub_model(np.zeros((4, 4, 8))), ZERO_SIGMA_DISTS, 2.0, seed=0)
     op = OperatingPoint(1.2, 2.0)
     for seed in (0, 2**64 - 1):
         assert MemristorReader(state, op, QUIET_NOISE, seed=seed).seed == seed
@@ -220,17 +228,17 @@ def test_reader_seed_must_be_one_64_bit_key_word():
             MemristorReader(state, op, QUIET_NOISE, seed=seed)
 
 
-def test_certain_flip_reads_the_complement():
+def test_certain_flip_reads_the_complement(stub_model):
     codes = np.arange(128).reshape(4, 4, 8)
-    state = program_arrays(_model_from_codes(codes), ZERO_SIGMA_DISTS, 2.0, seed=0)
+    state = program_arrays(stub_model(codes), ZERO_SIGMA_DISTS, 2.0, seed=0)
     reader = MemristorReader(state, OperatingPoint(1.2, 2.0), _FlatError(1.0), seed=0)
     for addr in ((0, 0, 0), (1, 2, 3), (3, 3, 7)):
         assert reader(*addr) == codes[addr] ^ 0xFF
 
 
-def test_half_flip_rate_is_half():
+def test_half_flip_rate_is_half(stub_model):
     codes = np.full((4, 4, 8), 0)
-    state = program_arrays(_model_from_codes(codes), ZERO_SIGMA_DISTS, 2.0, seed=0)
+    state = program_arrays(stub_model(codes), ZERO_SIGMA_DISTS, 2.0, seed=0)
     reader = MemristorReader(state, OperatingPoint(1.2, 2.0), _FlatError(0.5), seed=9)
     flipped = total = 0
     for _ in range(1250):
@@ -260,9 +268,9 @@ def test_measured_flip_rate_matches_the_model():
     assert abs(rate - eps) < 3 * se
 
 
-def test_reads_are_deterministic_per_seed():
+def test_reads_are_deterministic_per_seed(stub_model):
     _, dists, noise = regime_preset("B")
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     state = program_arrays(model, dists, 1.5, seed=1)
     op = OperatingPoint(1.2, 1.5)
     a = MemristorReader(state, op, noise, seed=7)
@@ -275,11 +283,11 @@ def test_reads_are_deterministic_per_seed():
     assert seq_a != seq_c
 
 
-def test_read_noise_is_schedule_invariant():
+def test_read_noise_is_schedule_invariant(stub_model):
     # the k-th read of an address must not depend on which other addresses
     # were read in between
     _, dists, noise = regime_preset("B")
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     state = program_arrays(model, dists, 1.5, seed=1)
     op = OperatingPoint(1.2, 1.5)
     addrs = [(0, 0, 0), (1, 2, 3), (3, 3, 7)]
@@ -296,9 +304,9 @@ def test_read_noise_is_schedule_invariant():
     assert s1 == s2
 
 
-def test_read_supply_changes_noise_not_state():
+def test_read_supply_changes_noise_not_state(stub_model):
     _, dists, noise = regime_preset("A")
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     state = program_arrays(model, dists, 2.4, seed=1)
     eps_nominal = noise.flip_probability(margins(state), 1.2).mean()
     eps_scaled = noise.flip_probability(margins(state), 0.8).mean()
@@ -314,8 +322,8 @@ def test_read_supply_changes_noise_not_state():
 # ---------------------------------------------------------------------------
 
 
-def test_regime_presets_span_the_three_regimes():
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+def test_regime_presets_span_the_three_regimes(stub_model):
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     means = {}
     for name in ("A", "B", "C"):
         op, dists, noise = regime_preset(name)
@@ -341,9 +349,9 @@ def test_regime_preset_structure():
         regime_preset("D")
 
 
-def test_array_state_round_trip(tmp_path):
+def test_array_state_round_trip(tmp_path, stub_model):
     op, dists, noise = regime_preset("B")
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     state = program_arrays(model, dists, op.vddr, seed=11)
     path = str(tmp_path / "state.npz")
     save_array_state(path, state, op, noise)
@@ -357,11 +365,11 @@ def test_array_state_round_trip(tmp_path):
     assert noise_back.sigma_n_table == noise.sigma_n_table
 
 
-def test_consecutive_reads_of_a_word_use_disjoint_uniforms():
+def test_consecutive_reads_of_a_word_use_disjoint_uniforms(stub_model):
     # read k of address a takes uniforms [8k, 8k + 8) of the (seed, a)
     # Philox stream, one per bit, MSB first
     _, dists, noise = regime_preset("B")
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     state = program_arrays(model, dists, 1.5, seed=1)
     reader = MemristorReader(state, OperatingPoint(1.2, 1.5), noise, seed=7)
     n_reads = 40
@@ -374,11 +382,11 @@ def test_consecutive_reads_of_a_word_use_disjoint_uniforms():
             assert reader(*address) == int(bits_code(code_bits(state.codes[address]) ^ flips))
 
 
-def test_consecutive_reads_share_no_noise():
+def test_consecutive_reads_share_no_noise(stub_model):
     # at flip probability 1/2 a read's bits are its uniforms; if read k+1
     # reused read k's last four uniforms as its first four, its high nibble
     # would always equal read k's low nibble (chance level is 1/16)
-    state = program_arrays(_model_from_codes(np.zeros((4, 4, 8))), ZERO_SIGMA_DISTS, 2.0, seed=0)
+    state = program_arrays(stub_model(np.zeros((4, 4, 8))), ZERO_SIGMA_DISTS, 2.0, seed=0)
     reader = MemristorReader(state, OperatingPoint(1.2, 2.0), _FlatError(0.5), seed=3)
     words = [reader(1, 2, 3) for _ in range(400)]
     repeats = sum((a & 0x0F) == (b >> 4) for a, b in zip(words, words[1:]))
@@ -401,12 +409,12 @@ def _reference_words(state, reader, seed, schedule):
     return words
 
 
-def test_rekeyed_reads_leak_no_position_between_addresses():
+def test_rekeyed_reads_leak_no_position_between_addresses(stub_model):
     # one reader serves interleaved single reads and read_many blocks; a
     # stream position carried from one address to the next would show as a
     # word that differs from its fresh-stream reference
     _, dists, noise = regime_preset("B")
-    state = program_arrays(_model_from_codes(np.arange(128).reshape(4, 4, 8)), dists, 1.5, seed=1)
+    state = program_arrays(stub_model(np.arange(128).reshape(4, 4, 8)), dists, 1.5, seed=1)
     reader = MemristorReader(state, OperatingPoint(1.2, 1.5), noise, seed=11)
     a0, a1, hot, a3, a4, a5 = (0, 0, 0), (1, 2, 3), (3, 3, 7), (2, 1, 5), (0, 3, 4), (3, 0, 1)
     assert all(reader.flip_table[a].max() > 0 for a in (a0, a1, hot, a3, a4, a5))
@@ -431,7 +439,7 @@ def test_rekeyed_reads_leak_no_position_between_addresses():
     assert got == _reference_words(state, reader, 11, schedule)
 
 
-def test_a_reader_builds_one_philox(monkeypatch):
+def test_a_reader_builds_one_philox(monkeypatch, stub_model):
     # building a Philox per address costs tens of microseconds each (it
     # draws OS entropy for a seed sequence it then discards)
     built = []
@@ -443,7 +451,7 @@ def test_a_reader_builds_one_philox(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     _, dists, noise = regime_preset("B")
-    state = program_arrays(_model_from_codes(np.arange(128).reshape(4, 4, 8)), dists, 1.5, seed=1)
+    state = program_arrays(stub_model(np.arange(128).reshape(4, 4, 8)), dists, 1.5, seed=1)
     reader = MemristorReader(state, OperatingPoint(1.2, 1.5), noise, seed=7)
     assert reader.flip_table.reshape(-1, 8).max(axis=1).min() > 0
     addresses = list(np.ndindex(state.codes.shape))
@@ -461,8 +469,8 @@ def test_a_reader_builds_one_philox(monkeypatch):
 @pytest.mark.parametrize("address", [
     (-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 4, 0), (0, 0, -1), (0, 0, 8),
 ])
-def test_readers_reject_an_address_outside_the_table(make_reader, address):
-    model = _model_from_codes(np.arange(128).reshape(4, 4, 8))
+def test_readers_reject_an_address_outside_the_table(make_reader, address, stub_model):
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
     state = program_arrays(model, regime_preset("B")[1], 1.5, seed=1)
     reader = make_reader(state, model)
     with pytest.raises(IndexError):
