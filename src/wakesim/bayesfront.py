@@ -119,10 +119,6 @@ class BayesModel:
     def invalid_threshold(self) -> int:
         return invalid_threshold(self.codec)
 
-    def quantize_features(self, mags) -> list[int]:
-        """Quantized level of each selected bin of one feature vector."""
-        return self.quantize_matrix(np.asarray(mags)[None])[0].tolist()
-
     def quantize_matrix(self, mags) -> np.ndarray:
         return bin_levels(mags, self.feature_bins, self.quantizers)
 

@@ -122,7 +122,8 @@ def _load_features(data_dir: str):
     """(train_mags, train_labels, test_mags, test_labels) of the feature cache.
 
     Each split must hold an (n, FEATURE_LEN) matrix of finite, nonnegative
-    magnitudes and n integer labels in 0..N_CLASSES-1.
+    magnitudes and n integer labels in 0..N_CLASSES-1. The train split must
+    hold every class at least once; the test split may lack classes.
     """
     path = os.path.join(data_dir, "features.npz")
     if not os.path.exists(path):
@@ -142,6 +143,10 @@ def _load_features(data_dir: str):
                 raise ValueError(f"{split}_mags holds a negative or non-finite magnitude")
             if len(labels) and not 0 <= labels.min() <= labels.max() < beatsmod.N_CLASSES:
                 raise ValueError(f"{split}_labels must lie in 0..{beatsmod.N_CLASSES - 1}")
+            absent = np.setdiff1d(np.arange(beatsmod.N_CLASSES), labels)
+            if split == "train" and len(absent):
+                raise ValueError(f"train_labels hold no beat of class {absent[0]}; "
+                                 "training needs every class")
             arrays += [mags.astype(np.float64, copy=False), labels.astype(np.int64, copy=False)]
     return tuple(arrays)
 

@@ -32,13 +32,10 @@ def fft_features(beat) -> np.ndarray:
 
     No window and no zero padding: the segment length is the transform
     length. Returns a float vector of length 254 (channel 0 bins first).
-    `beat` is a beat record or a (2, SEGMENT_LEN) array. It always
-    transforms the samples, and neither reads nor fills a cache.
+    `beat` is one beat record. It always transforms the samples, and
+    neither reads nor fills the record's cache.
     """
-    samples = beat.samples if hasattr(beat, "samples") else np.asarray(beat, dtype=np.float64)
-    if samples.shape != (2, SEGMENT_LEN):
-        raise ValueError(f"expected (2, {SEGMENT_LEN}) samples, got {samples.shape}")
-    return _spectra(samples[None])[0]
+    return _spectra(beat.samples[None])[0]
 
 
 def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:

@@ -30,15 +30,14 @@ class QuantizerSpec:
             raise ValueError(f"clip_lo {self.clip_lo} must be below clip_hi {self.clip_hi}")
 
 
-def quantize(value, spec: QuantizerSpec):
-    """Map a value (or array) onto integer levels 0..N_LEVELS-1.
+def quantize(values, spec: QuantizerSpec) -> np.ndarray:
+    """Map an array of values onto integer levels 0..N_LEVELS-1.
 
     level = floor((v - lo) / (hi - lo) * N_LEVELS), clamped at both ends.
     """
-    v = np.asarray(value, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
     scaled = np.floor((v - spec.clip_lo) / (spec.clip_hi - spec.clip_lo) * N_LEVELS)
-    out = np.clip(scaled, 0, N_LEVELS - 1).astype(np.int64)
-    return int(out) if np.isscalar(value) or out.ndim == 0 else out
+    return np.clip(scaled, 0, N_LEVELS - 1).astype(np.int64)
 
 
 def fit_quantizer(values, labels) -> QuantizerSpec:

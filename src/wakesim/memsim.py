@@ -110,6 +110,8 @@ class DeviceDistributions:
         # Written so that NaN fails every check.
         if not 0 <= self.hrs_log10_sigma < math.inf:
             raise ValueError("hrs sigma must be finite and nonnegative")
+        if not math.isfinite(self.hrs_log10_mean):
+            raise ValueError("hrs mean must be finite")
         for _, s in self.lrs_log10_sigma_table:
             if not s >= 0:
                 raise ValueError("lrs sigma must be nonnegative")

@@ -401,7 +401,7 @@ def load_classifier(path: str) -> MlpClassifier:
             # The final layer keeps int32 logits, so it has no output scale.
             last = i == len(layer_docs) - 1
             bias = _unblob(typed(layer_doc["bias"], str, f"{where}.bias"), "<i4", (shape[0],))
-            layers.append(QuantLayer(
+            layer = QuantLayer(
                 w_q=_unblob(typed(layer_doc["weights"], str, f"{where}.weights"), "int8", shape),
                 b_q=bias.astype(np.int32),
                 s_w=_scale(layer_doc, "s_w", where),
@@ -409,6 +409,17 @@ def load_classifier(path: str) -> MlpClassifier:
                 zp_in=typed(layer_doc["zp_in"], int, f"{where}.zp_in"),
                 s_out=_scale(layer_doc, "s_out", where, NULL if last else NUMBER),
                 zp_out=typed(layer_doc["zp_out"], NULL if last else int, f"{where}.zp_out"),
-            ))
+            )
+            # The encoding quantize_mlp writes: every int8 activation has zero point
+            # INPUT_ZERO_POINT, and a layer's input scale is exactly that of what feeds it.
+            for key in ("zp_in",) if last else ("zp_in", "zp_out"):
+                if getattr(layer, key) != INPUT_ZERO_POINT:
+                    raise ValueError(f"{where}.{key} is {getattr(layer, key)}, expected {INPUT_ZERO_POINT}")
+            s_feed = layers[-1].s_out if layers else INPUT_SCALE
+            if layer.s_in != s_feed:
+                raise ValueError(f"{where}.s_in is {layer.s_in}, expected {s_feed}, the scale of its input")
+            if not last and not math.isfinite(layer.s_in * layer.s_w / layer.s_out):
+                raise ValueError(f"{where}: the requantize multiplier s_in * s_w / s_out is not finite")
+            layers.append(layer)
         model = MlpModel(dims=tuple(dims), layers=layers)
         return MlpClassifier(bins, quantizer, model)

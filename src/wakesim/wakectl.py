@@ -19,7 +19,6 @@ several regimes) makes no FFT call.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field, fields
 
@@ -32,13 +31,9 @@ from .datapipe.features import feature_matrix
 from .metrics import ConfusionMatrix, count_pairs
 
 
-class WakeReason(enum.Enum):
-    ABNORMAL = "abnormal"
-    AMBIGUOUS = "ambiguous"
-    INVALID = "invalid"
-
-    def __str__(self) -> str:
-        return self.value
+# Wake reason names, indexed by reason code in decide_wake's priority order;
+# code 0 is a sleep.
+REASONS = ("sleep", "invalid", "abnormal", "ambiguous")
 
 
 @dataclass(frozen=True)
@@ -50,29 +45,20 @@ class WakePolicy:
     wake_on_invalid: bool = True
 
 
-@dataclass(frozen=True)
-class WakeDecision:
-    wake: bool
-    reason: WakeReason | None
-    front_pred: int
-
-
-def decide_wake(scores: ClassScores, policy: WakePolicy = WakePolicy()) -> WakeDecision:
-    """Apply the wake rule to one inference outcome.
+def decide_wake(scores: ClassScores, policy: WakePolicy = WakePolicy()) -> int:
+    """The wake reason code of one inference outcome: an index into REASONS.
 
     Wake when the prediction is abnormal, when N ties with an abnormal
     class, or when the result is invalid. Reasons are prioritized
-    Invalid > Abnormal > Ambiguous when several apply.
+    Invalid > Abnormal > Ambiguous when several apply; 0 is a sleep.
     """
     if scores.invalid and policy.wake_on_invalid:
-        reason = WakeReason.INVALID
-    elif scores.predicted != 0 and policy.wake_on_abnormal:
-        reason = WakeReason.ABNORMAL
-    elif scores.tie_with_normal and policy.wake_on_ambiguous:
-        reason = WakeReason.AMBIGUOUS
-    else:
-        reason = None
-    return WakeDecision(wake=reason is not None, reason=reason, front_pred=scores.predicted)
+        return 1
+    if scores.predicted != 0 and policy.wake_on_abnormal:
+        return 2
+    if scores.tie_with_normal and policy.wake_on_ambiguous:
+        return 3
+    return 0
 
 
 @dataclass(frozen=True)
@@ -80,23 +66,19 @@ class BeatOutcome:
     true_label: int
     front_pred: int
     wake: bool
-    reason: WakeReason | None
+    reason: str  # a name from REASONS
     system_pred: int
     backend_error: bool = False
 
 
-# decide_wake's reasons by priority, indexed by reason code; code 0 is a sleep.
-_REASONS = (None, WakeReason.INVALID, WakeReason.ABNORMAL, WakeReason.AMBIGUOUS)
-_TRACE_REASONS = tuple(str(r) if r else "none" for r in _REASONS)
+_TRACE_REASONS = ("none",) + REASONS[1:]
 # Each trace line after its beat number, indexed by
-# ((true * N_CLASSES + front) * len(_REASONS) + reason) * N_CLASSES + system;
+# ((true * N_CLASSES + front) * len(REASONS) + reason) * N_CLASSES + system;
 # the line ends are csv.writer's.
 _TRACE_ROWS = tuple(
     f"{t},{f},{int(k != 0)},{_TRACE_REASONS[k]},{s}\r\n"
     for t, f, k, s in itertools.product(range(N_CLASSES), range(N_CLASSES),
-                                        range(len(_REASONS)), range(N_CLASSES)))
-# reason_counts keys and the reason code each one counts.
-_COUNT_KEYS = {"sleep": 0, **{str(r): _REASONS.index(r) for r in WakeReason}}
+                                        range(len(REASONS)), range(N_CLASSES)))
 
 
 def _empty_column(dtype=np.int64):
@@ -109,7 +91,7 @@ class StreamResult:
 
     `true`, `front` and `system` are class ids, `reason` is the wake reason
     code (0 sleep, 1 invalid, 2 abnormal, 3 ambiguous: the index into
-    _REASONS) and `backend_error` marks woken beats the back end failed on.
+    REASONS) and `backend_error` marks woken beats the back end failed on.
     """
 
     true: np.ndarray = _empty_column()
@@ -121,7 +103,7 @@ class StreamResult:
     @property
     def outcomes(self) -> list[BeatOutcome]:
         """One BeatOutcome per beat, built from the columns."""
-        return [BeatOutcome(t, f, k != 0, _REASONS[k], s, e) for t, f, k, s, e in zip(
+        return [BeatOutcome(t, f, k != 0, REASONS[k], s, e) for t, f, k, s, e in zip(
             self.true.tolist(), self.front.tolist(), self.reason.tolist(),
             self.system.tolist(), self.backend_error.tolist())]
 
@@ -144,9 +126,8 @@ class StreamResult:
 
         The four counters of every class sum to that class's beat count.
         """
-        grid = count_pairs(self.true, self.reason, N_CLASSES, len(_REASONS)).tolist()
-        return {c: {key: grid[c][code] for key, code in _COUNT_KEYS.items()}
-                for c in range(N_CLASSES)}
+        grid = count_pairs(self.true, self.reason, N_CLASSES, len(REASONS)).tolist()
+        return {c: dict(zip(REASONS, row)) for c, row in enumerate(grid)}
 
     def front_confusion(self) -> ConfusionMatrix:
         return ConfusionMatrix.from_pairs(self.true, self.front)
@@ -161,13 +142,13 @@ class StreamResult:
         otherwise index the wrong line.
         """
         for name, n in (("true", N_CLASSES), ("front", N_CLASSES),
-                        ("reason", len(_REASONS)), ("system", N_CLASSES)):
+                        ("reason", len(REASONS)), ("system", N_CLASSES)):
             column = getattr(self, name)
             if len(column) != self.n:
                 raise ValueError(f"trace column {name} holds {len(column)} rows, true holds {self.n}")
             if self.n and not 0 <= column.min() <= column.max() < n:
                 raise ValueError(f"trace column {name} holds a value outside 0..{n - 1}")
-        keys = ((self.true * N_CLASSES + self.front) * len(_REASONS) + self.reason) * N_CLASSES \
+        keys = ((self.true * N_CLASSES + self.front) * len(REASONS) + self.reason) * N_CLASSES \
             + self.system
         with open(path, "w", newline="") as fh:
             fh.write("beat,true,front_pred,wake,reason,system_pred\r\n")
@@ -189,13 +170,13 @@ def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):
     Readers with read_many take one batched pass; any other word-reader
     callable goes beat by beat through bayes_infer and decide_wake.
     """
+    levels = model.quantize_matrix(mags)
     if hasattr(reader, "read_many"):
-        batch = bayes_infer_many(model.quantize_matrix(mags), model, reader)
+        batch = bayes_infer_many(levels, model, reader)
         return batch.predicted, wake_codes(batch, policy)
-    decisions = [decide_wake(bayes_infer(model.quantize_features(row), model, reader), policy)
-                 for row in mags]
-    return (np.array([d.front_pred for d in decisions], dtype=np.int64),
-            np.array([_REASONS.index(d.reason) for d in decisions], dtype=np.int64))
+    scores = [bayes_infer(row, model, reader) for row in levels.tolist()]
+    return (np.array([s.predicted for s in scores], dtype=np.int64),
+            np.array([decide_wake(s, policy) for s in scores], dtype=np.int64))
 
 
 def _back_end(predict_features, predict_one, mags, woken: np.ndarray):

@@ -18,7 +18,7 @@ from wakesim.datapipe.features import chi2_rank, feature_matrix
 from wakesim.datapipe.quantizers import QuantizerSpec
 from wakesim.datapipe.synthetic import synth_beat, synth_dataset
 from wakesim.mlpback import TrainConfig, fit_backend
-from wakesim.wakectl import _REASONS, StreamResult, run_stream
+from wakesim.wakectl import REASONS, StreamResult, run_stream
 from wakesim import memsim
 
 BENCH_SEED = 11
@@ -109,7 +109,7 @@ def from_outcomes():
         return StreamResult(
             true=np.array([o.true_label for o in outcomes], dtype=np.int64),
             front=np.array([o.front_pred for o in outcomes], dtype=np.int64),
-            reason=np.array([_REASONS.index(o.reason) for o in outcomes], dtype=np.int64),
+            reason=np.array([REASONS.index(o.reason) for o in outcomes], dtype=np.int64),
             system=np.array([o.system_pred for o in outcomes], dtype=np.int64),
             backend_error=np.array([o.backend_error for o in outcomes], dtype=bool),
         )

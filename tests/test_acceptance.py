@@ -182,8 +182,7 @@ def test_criterion_07_normal_finalizes_only_on_strict_valid_minimum(stub_model):
         row = codes[k]
         scores = bayes_infer([0, 0, 0, 0], model,
                              lambda c, f, l, row=row: int(row[c, f]))
-        decision = decide_wake(scores)
-        assert (not decision.wake) == bool(expect_sleep[k]), (k, row)
+        assert (decide_wake(scores) == 0) == bool(expect_sleep[k]), (k, row)
     print(f"PASS criterion 7: {n} fuzzed score vectors; N finalizes without "
           "waking iff it is the strict unique minimum below the invalid band")
 

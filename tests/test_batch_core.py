@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wakesim import memsim
+from wakesim import memsim, wakectl
 from wakesim.bayesfront import N_FEATURES, IdealReader, bayes_infer, bayes_infer_many
 from wakesim.datapipe import features
 from wakesim.datapipe.beats import N_CLASSES, SEGMENT_LEN, BeatRecord
 from wakesim.datapipe.features import FEATURE_LEN, FFT_CHUNK, feature_matrix, fft_features
 from wakesim.mlpback import mlp_forward, mlp_infer
 from wakesim.report import build_report
-from wakesim.wakectl import (_REASONS, BeatOutcome, StreamResult, WakePolicy, decide_wake,
+from wakesim.wakectl import (REASONS, BeatOutcome, StreamResult, WakePolicy, decide_wake,
                              run_features, run_stream, wake_codes, wake_stats)
 
 # The seeds of the regime_streams fixture.
@@ -168,7 +168,7 @@ def test_batched_inference_equals_bayes_infer(bench_model):
             assert batch[i] == bayes_infer(row.tolist(), bench_model, twin)
         for policy in (WakePolicy(), WakePolicy(False, True, False), WakePolicy(True, False, True)):
             assert wake_codes(batch, policy).tolist() == [
-                _REASONS.index(decide_wake(batch[i], policy).reason) for i in range(len(levels))]
+                decide_wake(batch[i], policy) for i in range(len(levels))]
 
 
 def test_batched_backend_equals_mlp_infer_on_every_woken_beat(bench_backend, bench_test,
@@ -193,6 +193,43 @@ def test_batch_stream_equals_per_beat_stream_on_presets(bench_dataset, bench_mod
         per_beat = run_stream(bench_dataset.test, bench_model, _per_beat(reader),
                               _PredictOnly(bench_backend))
         assert per_beat == regime_streams[name], name
+
+
+def test_per_word_stream_calls_each_per_beat_seam(monkeypatch, bench_dataset, bench_model,
+                                                  bench_backend):
+    # the seams a tracer wraps: wakectl.bayes_infer once per beat, the word
+    # reader 16 times per beat in class-then-feature order, and
+    # backend.predict once per woken beat
+    beats = bench_dataset.test[::40]  # class-major order, so stride to mix classes
+    infers = []
+
+    def counted_infer(levels, model, reader):
+        infers.append(list(levels))
+        return bayes_infer(levels, model, reader)
+
+    monkeypatch.setattr(wakectl, "bayes_infer", counted_infer)
+    ideal = IdealReader(bench_model)
+    words = []
+
+    def reader(c, f, l):
+        words.append((c, f, l))
+        return ideal(c, f, l)
+
+    asked = []
+
+    class _Counting:
+        def predict(self, beat, mags):
+            asked.append(beat)
+            return bench_backend.predict(beat, mags)
+
+    result = run_stream(beats, bench_model, reader, _Counting())
+    levels = bench_model.quantize_matrix(feature_matrix(beats)[0]).tolist()
+    assert infers == levels
+    assert words == [(c, f, row[f]) for row in levels for c in range(N_CLASSES)
+                     for f in range(N_FEATURES)]
+    woken = np.flatnonzero(result.reason).tolist()
+    assert 0 < len(woken) < len(beats)
+    assert len(asked) == len(woken) and all(a is beats[i] for a, i in zip(asked, woken))
 
 
 _stream_lengths = st.integers(1, 2 * FFT_CHUNK + 60).filter(lambda n: n % FFT_CHUNK)
@@ -235,10 +272,11 @@ def _per_beat_outcomes(beats, model, reader, backend):
     outcomes = []
     for beat in beats:
         mags = fft_features(beat)
-        decision = decide_wake(bayes_infer(model.quantize_features(mags), model, reader))
-        system = backend.predict(beat, mags) if decision.wake else 0
-        outcomes.append(BeatOutcome(beat.label, decision.front_pred, decision.wake,
-                                    decision.reason, system))
+        scores = bayes_infer(model.quantize_matrix(mags[None])[0], model, reader)
+        code = decide_wake(scores)
+        system = backend.predict(beat, mags) if code else 0
+        outcomes.append(BeatOutcome(beat.label, scores.predicted, code != 0, REASONS[code],
+                                    system))
     return outcomes
 
 
@@ -248,8 +286,9 @@ def _reference_trace(path, outcomes):
         writer = csv.writer(fh)
         writer.writerow(["beat", "true", "front_pred", "wake", "reason", "system_pred"])
         for i, o in enumerate(outcomes):
-            writer.writerow([i, o.true_label, o.front_pred, int(o.wake),
-                             str(o.reason) if o.reason is not None else "none", o.system_pred])
+            code = REASONS.index(o.reason)
+            writer.writerow([i, o.true_label, o.front_pred, int(code != 0),
+                             o.reason if code else "none", o.system_pred])
 
 
 def test_table_trace_writer_equals_csv_writer_on_every_row(tmp_path):

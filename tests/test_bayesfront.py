@@ -228,7 +228,7 @@ def test_model_validates_code_shape(stub_model):
         BayesModel((0, 1, 2), (QuantizerSpec(0.0, 1.0),) * 3, np.zeros((4, 4, 8)), LogCodec())
 
 
-def test_quantize_features_uses_selected_bins():
+def test_quantize_matrix_uses_selected_bins():
     codes = np.zeros((4, 4, 8))
     model = BayesModel(
         feature_bins=(3, 1, 0, 2),
@@ -236,9 +236,8 @@ def test_quantize_features_uses_selected_bins():
         codes=codes.astype(np.uint8),
         codec=LogCodec(),
     )
-    levels = model.quantize_features(np.array([0.5, 3.5, 7.5, 5.5]))
-    assert levels == [5, 3, 0, 7]
-    assert all(isinstance(v, int) for v in levels)
+    levels = model.quantize_matrix(np.array([[0.5, 3.5, 7.5, 5.5]]))
+    assert levels.tolist() == [[5, 3, 0, 7]]
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +267,9 @@ def test_benchmark_front_end_is_perfect_on_clean_data(bench_dataset, bench_model
                                                       bench_reader, bench_test):
     mags, labels = bench_test
     correct = ties = invalid = 0
+    levels = bench_model.quantize_matrix(mags)
     for i in range(len(labels)):
-        levels = bench_model.quantize_features(mags[i])
-        scores = bayes_infer(levels, bench_model, bench_reader)
+        scores = bayes_infer(levels[i], bench_model, bench_reader)
         correct += scores.predicted == labels[i]
         ties += scores.tie_with_normal
         invalid += scores.invalid

@@ -238,12 +238,16 @@ def _malform(arrays: dict, case: str) -> None:
         arrays["test_mags"] = arrays["test_mags"][:, :200]
     elif case == "nan-magnitude":
         arrays["train_mags"][5, 7] = np.nan
+    elif case in ("train-without-P", "train-only-N"):
+        keep = arrays["train_labels"] != 3 if case == "train-without-P" else arrays["train_labels"] == 0
+        arrays["train_mags"], arrays["train_labels"] = arrays["train_mags"][keep], arrays["train_labels"][keep]
     else:
         arrays["test_mags"][2, 3] = -0.5
 
 
 @pytest.mark.parametrize("case", ["missing-train-labels", "label-9", "unequal-lengths", "200-bins",
-                                  "nan-magnitude", "negative-magnitude"])
+                                  "nan-magnitude", "negative-magnitude", "train-without-P",
+                                  "train-only-N"])
 def test_malformed_feature_cache_is_a_data_error(workspace, tmp_path, case):
     paths, _ = workspace
     data = tmp_path / "data"
@@ -352,12 +356,19 @@ def _six_outputs(doc):
     ("state.npz", _meta("sigma_n_table", [[1.2, 3.8], [0.8, 0.08]]),
      "sigma_n_table: x values [1.2, 0.8] are not strictly increasing"),
     ("state.npz", _meta("sigma_n_table", [[0.7, float("inf")], [1.2, 0.08]]), "Infinity is not a JSON number"),
+    ("mlp_model.json", lambda doc: doc["layers"][0].update(zp_in=5), "layers[0].zp_in is 5, expected -128"),
+    ("mlp_model.json", lambda doc: doc["layers"][1].update(s_in=doc["layers"][1]["s_in"] * 1000),
+     "layers[1].s_in is"),
+    ("mlp_model.json", lambda doc: doc["layers"][0].update(zp_out=100), "layers[0].zp_out is 100, expected -128"),
+    ("mlp_model.json", lambda doc: doc["layers"][0].update(s_out=1e-320),
+     "layers[0]: the requantize multiplier s_in * s_w / s_out is not finite"),
 ], ids=["bayes-no-quantizers", "mlp-no-s_w", "report-other-object", "report-list", "state-garbage",
         "bayes-nan", "mlp-nan-s_w", "mlp-inf-clip", "report-minus-inf", "mlp-zero-s_out",
         "mlp-negative-s_in", "state-all-nan", "state-one-nan", "state-inf", "state-zero",
         "state-negative", "mlp-clip-crossed", "mlp-clip-equal", "bayes-repeated-bin",
         "mlp-repeated-bin", "bayes-five-classes", "bayes-three-bins", "mlp-six-outputs",
-        "state-empty-sigma-table", "state-descending-sigma-table", "state-infinity-token"])
+        "state-empty-sigma-table", "state-descending-sigma-table", "state-infinity-token",
+        "mlp-other-zp_in", "mlp-other-s_in", "mlp-other-zp_out", "mlp-infinite-multiplier"])
 def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path, artifact, content,
                                                             message):
     paths, _ = workspace
@@ -491,6 +502,8 @@ def _command(paths, tmp_path, name: str) -> list[str]:
     ("sweep", "[energy]\ne_service = nan\n", [], "[energy]: e_service must be finite and positive"),
     ("program", _TABLES.replace("hrs_log10_sigma = 0.06", "hrs_log10_sigma = nan"), [],
      "[operating_point]: hrs sigma must be finite and nonnegative"),
+    ("program", _TABLES.replace("hrs_log10_mean = 6.0", "hrs_log10_mean = inf"), [],
+     "[operating_point]: hrs mean must be finite"),
     ("program", _TABLES.replace("sigma_n = 0.7:5.0", "sigma_n = 0.7:nan"), [],
      "[operating_point] sigma_n: non-finite pair '0.7:nan'"),
     ("program", _TABLES.replace("2.0:4.8", "2.0:4.8,2.0:4.7"), [],
@@ -514,7 +527,7 @@ def _command(paths, tmp_path, name: str) -> list[str]:
     ("sweep", "[DEFAULT]\nseed = 4\n", [], "[DEFAULT]: unknown section"),
 ], ids=["codec-base", "codec-width", "batch-size", "epochs", "lr-nan", "beats-per-class",
         "test-per-class", "source", "policy-bool", "pi-range", "percent", "empty-ts", "empty-vdd",
-        "preset-and-tables", "partial-tables", "e-service-nan", "hrs-sigma-nan", "table-nan", "table-repeated-x",
+        "preset-and-tables", "partial-tables", "e-service-nan", "hrs-sigma-nan", "hrs-mean-inf", "table-nan", "table-repeated-x",
         "ts-negative", "ts-nan", "ts-inf", "vdd-nan", "vdd-negative", "vdd-zero", "dataset-seed", "train-seed", "program-seed",
         "run-seed-negative", "run-seed-2**64", "run-seed-file", "unknown-key", "stale-e-fe-curve",
         "unknown-table-key", "unknown-section", "default-section"])
@@ -579,6 +592,19 @@ def test_prepare_data_from_csv_source(tmp_path):
     missing = _invoke(["prepare-data", "--out", str(out_dir), "--source", "csv"])
     assert missing.exit_code == 2
     assert "--train-csv and --test-csv are required" in missing.stderr
+
+
+def test_train_on_a_csv_train_split_without_a_class_is_a_data_error(tmp_path):
+    ds = synth_dataset(4, 3, 0.05, test_per_class=2)
+    write_beats_csv(tmp_path / "train.csv", [b for b in ds.train if b.label != 3])
+    write_beats_csv(tmp_path / "test.csv", ds.test)
+    data = tmp_path / "data"
+    _ok(["prepare-data", "--out", str(data), "--source", "csv",
+         "--train-csv", str(tmp_path / "train.csv"), "--test-csv", str(tmp_path / "test.csv")])
+    result = _invoke(["train", "--data", str(data), "--out", str(tmp_path / "m")])
+    _assert_one_error_line(result, codes=(3,))
+    assert result.stderr == (f"wakesim: error: data: {data / 'features.npz'}: malformed feature cache: "
+                             "train_labels hold no beat of class 3; training needs every class\n")
 
 
 @pytest.mark.parametrize("column, value, message", [

@@ -67,6 +67,9 @@ def test_device_distribution_validation():
         DeviceDistributions(((1.0, 4.0),), ((1.0, -0.1),), 6.0, 0.1)
     with pytest.raises(ValueError, match="sigma"):
         DeviceDistributions(((1.0, 4.0),), ((1.0, 0.1),), 6.0, -0.1)
+    for mean in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="hrs mean must be finite"):
+            DeviceDistributions(((1.0, 4.0),), ((1.0, 0.1),), mean, 0.1)
 
 
 def test_read_error_model_validation():

@@ -14,7 +14,7 @@ from wakesim.report import (
     render_report,
     save_report,
 )
-from wakesim.wakectl import BeatOutcome, StreamResult, WakeReason
+from wakesim.wakectl import BeatOutcome, StreamResult
 
 # ---------------------------------------------------------------------------
 # confusion matrix
@@ -132,13 +132,13 @@ def cyclic_stream(from_outcomes) -> StreamResult:
     """
     outcomes = []
     for _ in range(100):
-        outcomes.append(BeatOutcome(0, 0, False, None, 0))
+        outcomes.append(BeatOutcome(0, 0, False, "sleep", 0))
     for c in (1, 2, 3):
         wrong = 1 + (c % 3)
         for i in range(100):
             front = c if i < 94 else wrong
             system = c if i < 99 else wrong
-            outcomes.append(BeatOutcome(c, front, True, WakeReason.ABNORMAL, system))
+            outcomes.append(BeatOutcome(c, front, True, "abnormal", system))
     return from_outcomes(outcomes)
 
 
@@ -239,7 +239,7 @@ def test_render_report_contents(echo_report):
 
 def test_render_handles_missing_values(from_outcomes):
     # normal-only stream: abnormal F1 undefined, abnormal wake rate undefined
-    stream = from_outcomes([BeatOutcome(0, 0, False, None, 0) for _ in range(10)])
+    stream = from_outcomes([BeatOutcome(0, 0, False, "sleep", 0) for _ in range(10)])
     text = render_report(build_report(stream=stream))
     assert "macro_f1_abnormal=--" in text
     assert "p(wake|abnormal)=--" in text

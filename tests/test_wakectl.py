@@ -10,9 +10,9 @@ from wakesim.datapipe.features import feature_matrix
 from wakesim.errors import WakesimError
 from wakesim.metrics import macro_f1_abnormal
 from wakesim.wakectl import (
+    REASONS,
     BeatOutcome,
     WakePolicy,
-    WakeReason,
     decide_wake,
     run_features,
     run_stream,
@@ -30,48 +30,37 @@ def _scores(raw=(10, 20, 30, 40), predicted=0, tie=False, invalid=False):
 
 
 def test_confident_normal_sleeps():
-    d = decide_wake(_scores())
-    assert d.wake is False
-    assert d.reason is None
-    assert d.front_pred == 0
+    assert decide_wake(_scores()) == 0
 
 
 def test_abnormal_prediction_wakes():
-    d = decide_wake(_scores(predicted=2))
-    assert d.wake is True
-    assert d.reason is WakeReason.ABNORMAL
+    assert REASONS[decide_wake(_scores(predicted=2))] == "abnormal"
 
 
 def test_normal_tie_wakes_as_ambiguous():
-    d = decide_wake(_scores(raw=(10, 10, 30, 40), predicted=0, tie=True))
-    assert d.wake is True
-    assert d.reason is WakeReason.AMBIGUOUS
+    code = decide_wake(_scores(raw=(10, 10, 30, 40), predicted=0, tie=True))
+    assert REASONS[code] == "ambiguous"
 
 
 def test_invalid_wakes_and_outranks_other_reasons():
-    d = decide_wake(_scores(predicted=2, tie=True, invalid=True))
-    assert d.reason is WakeReason.INVALID
+    assert REASONS[decide_wake(_scores(predicted=2, tie=True, invalid=True))] == "invalid"
     # without the invalid flag the same scores report the abnormal reason
-    d = decide_wake(_scores(predicted=2, tie=True))
-    assert d.reason is WakeReason.ABNORMAL
+    assert REASONS[decide_wake(_scores(predicted=2, tie=True))] == "abnormal"
 
 
 def test_policy_flags_gate_each_reason():
     no_invalid = WakePolicy(wake_on_invalid=False)
-    d = decide_wake(_scores(predicted=2, invalid=True), no_invalid)
-    assert d.reason is WakeReason.ABNORMAL  # falls through to the next rule
+    code = decide_wake(_scores(predicted=2, invalid=True), no_invalid)
+    assert REASONS[code] == "abnormal"  # falls through to the next rule
 
     no_abnormal = WakePolicy(wake_on_abnormal=False)
-    d = decide_wake(_scores(predicted=2, tie=False), no_abnormal)
-    assert d.wake is False
+    assert decide_wake(_scores(predicted=2, tie=False), no_abnormal) == 0
 
     no_ambiguous = WakePolicy(wake_on_ambiguous=False)
-    d = decide_wake(_scores(predicted=0, tie=True), no_ambiguous)
-    assert d.wake is False
+    assert decide_wake(_scores(predicted=0, tie=True), no_ambiguous) == 0
 
     all_off = WakePolicy(False, False, False)
-    d = decide_wake(_scores(predicted=3, tie=True, invalid=True), all_off)
-    assert d.wake is False and d.reason is None
+    assert decide_wake(_scores(predicted=3, tie=True, invalid=True), all_off) == 0
 
 
 def test_sleep_requires_strict_unique_normal_minimum():
@@ -82,8 +71,7 @@ def test_sleep_requires_strict_unique_normal_minimum():
         predicted = int(raw.argmin())
         tie = raw[0] == smin and bool(np.any(raw[1:] == smin))
         invalid = smin >= 94
-        d = decide_wake(_scores(tuple(int(v) for v in raw), predicted, tie, invalid))
-        sleeps = not d.wake
+        sleeps = decide_wake(_scores(tuple(int(v) for v in raw), predicted, tie, invalid)) == 0
         assert sleeps == (raw[0] < raw[1:].min() and raw[0] < 94)
 
 
@@ -233,8 +221,8 @@ def test_reason_counts_partition_each_class(regime_streams):
 
 
 def _outcome(true_label, reason):
-    wake = reason is not None
-    front = 1 if reason is WakeReason.ABNORMAL else 0
+    wake = reason != "sleep"
+    front = 1 if reason == "abnormal" else 0
     system = true_label if wake else 0
     return BeatOutcome(true_label=true_label, front_pred=front, wake=wake,
                        reason=reason, system_pred=system)
@@ -242,12 +230,12 @@ def _outcome(true_label, reason):
 
 def test_wake_stats_reproduces_reference_rates_exactly(from_outcomes):
     outcomes = []
-    outcomes += [_outcome(1, WakeReason.ABNORMAL)] * 983
-    outcomes += [_outcome(1, WakeReason.AMBIGUOUS)] * 15
-    outcomes += [_outcome(1, None)] * 2
-    outcomes += [_outcome(0, None)] * 9812
-    outcomes += [_outcome(0, WakeReason.AMBIGUOUS)] * 100
-    outcomes += [_outcome(0, WakeReason.INVALID)] * 88
+    outcomes += [_outcome(1, "abnormal")] * 983
+    outcomes += [_outcome(1, "ambiguous")] * 15
+    outcomes += [_outcome(1, "sleep")] * 2
+    outcomes += [_outcome(0, "sleep")] * 9812
+    outcomes += [_outcome(0, "ambiguous")] * 100
+    outcomes += [_outcome(0, "invalid")] * 88
     stats = wake_stats(from_outcomes(outcomes))
     assert stats.p_wake_abnormal == 0.998
     assert stats.p_wake_normal == 0.0188
@@ -257,7 +245,7 @@ def test_wake_stats_reproduces_reference_rates_exactly(from_outcomes):
 
 
 def test_all_abnormal_waked_gives_unit_rate(from_outcomes):
-    outcomes = [_outcome(c, WakeReason.ABNORMAL) for c in (1, 2, 3) for _ in range(5)]
+    outcomes = [_outcome(c, "abnormal") for c in (1, 2, 3) for _ in range(5)]
     stats = wake_stats(from_outcomes(outcomes))
     assert stats.p_wake_abnormal == 1.0
     assert stats.p_wake_normal is None
