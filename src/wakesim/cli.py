@@ -179,7 +179,8 @@ def train(data_dir, out_dir, config_path, seed, epochs, lr, batch_size):
     bayesfront.save_bayes_model(os.path.join(out_dir, "bayes_model.json"), model)
     mlpback.save_classifier(os.path.join(out_dir, "mlp_model.json"), clf)
 
-    mlp_acc = (float(np.mean(clf.predict_features(test_mags) == test_labels))
+    every_row = np.arange(len(test_labels))
+    mlp_acc = (float(np.mean(clf.predict_features(test_mags, every_row) == test_labels))
                if len(test_labels) else None)
     click.echo(f"front-end bins {list(model.feature_bins)}")
     click.echo(f"back-end int8 test accuracy {reportmod.fmt(mlp_acc)}")

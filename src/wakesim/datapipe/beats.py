@@ -28,18 +28,19 @@ class BeatRecord:
 
     A record is read-only. `samples` is a read-only float64 array that the
     record owns: an input that is a view of another array is copied, an
-    array that owns its data is adopted and made read-only. `mags` is the
-    beat's FFT feature row once datapipe.features' feature_matrix, the only
-    code that writes it, has computed it (None until then): a read-only row
-    view of the matrix that call returned. It can be cached because
-    `samples` cannot change. Records compare and hash by identity.
+    array that owns its data is adopted and made read-only. `cached_row` is
+    (matrix, i) once datapipe.features' feature_matrix, the only code that
+    writes it, has computed the beat's FFT feature row (None until then):
+    row i of the read-only matrix that call returned, which `mags` reads.
+    It can be cached because `samples` cannot change. Records compare and
+    hash by identity.
     """
 
     samples: np.ndarray
     label: int
     source_id: str
     beat_index: int
-    mags: np.ndarray | None = field(default=None, init=False, repr=False)
+    cached_row: tuple[np.ndarray, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -54,6 +55,14 @@ class BeatRecord:
         if not 0 <= self.label < N_CLASSES:
             raise ValueError(f"label {self.label} outside [0, {N_CLASSES - 1}]")
         object.__setattr__(self, "label", int(self.label))
+
+    @property
+    def mags(self) -> np.ndarray | None:
+        """The cached FFT feature row, a read-only row view; None if there is none."""
+        if self.cached_row is None:
+            return None
+        matrix, i = self.cached_row
+        return matrix[i]
 
 
 @dataclass

@@ -41,17 +41,23 @@ def fft_features(beat) -> np.ndarray:
 def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
     """fft_features of every beat record, stacked; returns (mags, labels).
 
-    `beats` is any iterable of beat records. Rows the records already hold
-    are copied, not transformed again. The batched FFT runs over the other
+    `beats` is any iterable of beat records. If they are exactly the records
+    of one earlier call, in the same order, that call's matrix is returned
+    itself: no copy and no FFT. Otherwise rows the records already hold are
+    copied, not transformed again; the batched FFT runs over the other
     records in blocks of at most FFT_CHUNK, and each new row is cached on
-    its record as a row view of `mags`, which is read-only, so the cache
+    its record as (mags, row index). `mags` is read-only, so the cache
     cannot be written through it.
     """
     beats = list(beats)
+    labels = np.array([beat.label for beat in beats], dtype=np.int64)
+    reused = _cached_matrix(beats)
+    if reused is not None:
+        return reused, labels
     mags = np.empty((len(beats), FEATURE_LEN), dtype=np.float64)
     new = []
     for i, beat in enumerate(beats):
-        if beat.mags is None:
+        if beat.cached_row is None:
             new.append(i)
         else:
             mags[i] = beat.mags
@@ -60,8 +66,22 @@ def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
         mags[block] = _spectra(np.stack([beats[i].samples for i in block]))
     mags.flags.writeable = False
     for i in new:
-        object.__setattr__(beats[i], "mags", mags[i])
-    return mags, np.array([beat.label for beat in beats], dtype=np.int64)
+        object.__setattr__(beats[i], "cached_row", (mags, i))
+    return mags, labels
+
+
+def _cached_matrix(beats) -> np.ndarray | None:
+    """The matrix whose rows are exactly the records' cached rows, in order, or None."""
+    if not beats or beats[0].cached_row is None:
+        return None
+    matrix = beats[0].cached_row[0]
+    if len(matrix) != len(beats):
+        return None
+    for i, beat in enumerate(beats):
+        cached = beat.cached_row
+        if cached is None or cached[0] is not matrix or cached[1] != i:
+            return None
+    return matrix
 
 
 def check_bins(bins, what: str) -> None:

@@ -235,6 +235,9 @@ class MemristorReader:
         self._eps = self.flip_table.reshape(-1, WORD_BITS)
         # Reads so far of each address; its stream's position is 8 x this.
         self._reads = [0] * len(self._codes)
+        # The smallest unsigned dtype that holds every address: read_many's
+        # stable sort of such keys is a radix sort.
+        self._address_dtype = np.min_scalar_type(len(self._codes) - 1)
         # The generator every address's stream is read from, and the state
         # dict that re-keys it (see _read_run), taken once from the fresh
         # generator. Its arrays become lists: the state setter reads plain
@@ -254,7 +257,7 @@ class MemristorReader:
         addrs = word_addresses(self._shape, class_ids, features, levels)
         # A stable sort groups each address's reads and keeps them in
         # sequence order, so they take that address's next uniforms in turn.
-        order = np.argsort(addrs, kind="stable")
+        order = np.argsort(addrs.astype(self._address_dtype), kind="stable")
         grouped = addrs[order]
         starts = np.flatnonzero(np.diff(grouped, prepend=-1))
         ends = np.append(starts[1:], len(grouped))

@@ -306,10 +306,13 @@ class MlpClassifier:
         pred, _ = mlp_infer(self.quantize_input(mags), self.model)
         return pred
 
-    def predict_features(self, mags_matrix) -> np.ndarray:
-        """Predicted class of every row of a feature matrix, in one forward pass."""
-        mags = np.asarray(mags_matrix, dtype=np.float64)
-        return mlp_forward(self.input_quantizer(mags[:, list(self.bins)]), self.model)[0]
+    def predict_features(self, mags, rows) -> np.ndarray:
+        """Predicted class of the given rows of a feature matrix, in one forward pass.
+
+        Only the classifier's own bins of those rows are gathered.
+        """
+        mags = np.asarray(mags, dtype=np.float64)
+        return mlp_forward(self.input_quantizer(mags[np.ix_(rows, self.bins)]), self.model)[0]
 
 
 def fit_backend(mags, labels, ranked_bins, config: TrainConfig = TrainConfig()) -> MlpClassifier:

@@ -6,15 +6,16 @@ underflowed) minimum score. Anything else wakes the back end, and the back
 end's label is final for that beat.
 
 run_features is the stream core: it runs a whole feature matrix as one
-batch (one read_many call for the front end, one predict_features call for
-the woken rows) and returns a StreamResult of per-beat columns (true, front
-and system labels, wake reason code, back-end error). The batch size cannot
-change a result: read noise is counter-based per address and the back end
-is row-independent. run_stream is run_features over beat records:
-datapipe.features' feature_matrix gives their matrix, running the FFT only
-over records that hold no cached feature row and caching the new rows, so
-streaming the same record objects again in one process (one split through
-several regimes) makes no FFT call.
+batch (one read_many call for the front end, one predict_features call
+over the stream's matrix and the woken row indices) and returns a
+StreamResult of per-beat columns (true, front and system labels, wake
+reason code, back-end error). The batch size cannot change a result: read
+noise is counter-based per address and the back end is row-independent.
+run_stream is run_features over beat records: datapipe.features'
+feature_matrix gives their matrix, running the FFT only over records that
+hold no cached feature row and caching the new rows, so streaming the same
+record objects again in one process (one split through several regimes)
+makes no FFT call and no copy.
 """
 
 from __future__ import annotations
@@ -182,13 +183,13 @@ def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):
 def _back_end(predict_features, predict_one, mags, woken: np.ndarray):
     """(labels, failed) of the woken rows of a stream.
 
-    predict_features labels all woken rows in one call. If it is None, or
-    that call raises, predict_one(i) labels each row on its own, so one
-    failure costs one beat.
+    predict_features(mags, woken) labels all woken rows in one call. If it
+    is None, or that call raises, predict_one(i) labels each row on its own,
+    so one failure costs one beat.
     """
     if predict_features is not None and len(woken):
         try:
-            labels = np.asarray(predict_features(mags[woken]), dtype=np.int64)
+            labels = np.asarray(predict_features(mags, woken), dtype=np.int64)
             if labels.shape == woken.shape:
                 return labels, np.zeros(len(woken), dtype=bool)
         except Exception:
@@ -228,9 +229,10 @@ def run_features(mags, labels, model: BayesModel, reader, backend,
     through the word reader (one read_many call, or word by word for a
     plain callable) and apply the wake rule. A sleeping beat is finalized
     as N; a woken beat takes the back end's label from one
-    backend.predict_features call over all woken rows. If that call raises,
-    each woken row is retried on its own, and a row that still fails is
-    recorded as a back-end error and keeps its front-end label.
+    backend.predict_features(mags, rows) call, which gets the matrix itself
+    and the indices of the woken rows. If that call raises, each woken row
+    is retried on its own, and a row that still fails is recorded as a
+    back-end error and keeps its front-end label.
     """
     mags = np.asarray(mags, dtype=np.float64)
     labels = np.array(labels, dtype=np.int64)  # a copy: the result's true column
@@ -238,7 +240,7 @@ def run_features(mags, labels, model: BayesModel, reader, backend,
         raise ValueError(f"need (n, bins) magnitudes and n labels, got {mags.shape} and {labels.shape}")
     predict_features = backend.predict_features
     return _run(mags, labels, model, reader, predict_features,
-                lambda i: predict_features(mags[i:i + 1])[0], policy)
+                lambda i: predict_features(mags, np.array([i]))[0], policy)
 
 
 def run_stream(beats, model: BayesModel, reader, backend,

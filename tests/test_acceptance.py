@@ -227,7 +227,7 @@ def test_criterion_09_mlp_accuracy_gradients_and_bit_identity(bench_backend, ben
         for row in mags
     ])
     acc_float = float(np.mean(bench_backend.model.float_ref.predict(deq) == labels))
-    acc_int = float(np.mean(bench_backend.predict_features(mags) == labels))
+    acc_int = float(np.mean(bench_backend.predict_features(mags, np.arange(len(mags))) == labels))
     assert acc_float >= 0.98
     assert abs(acc_int - acc_float) <= 0.02
 

@@ -2,12 +2,14 @@
 
 run_features and run_stream run a whole stream as one batch: one FFT call
 per FFT_CHUNK records without a cached feature row (feature_matrix, which
-run_stream calls), one read_many for the stream, one predict_features call
-for its woken rows, and a StreamResult of per-beat columns. Every test here
-pins a batched step to the scalar API it replaces, which stays public:
-fft_features, MemristorReader(c, f, l), bayes_infer, decide_wake,
-mlp_infer and backend.predict(beat, mags). Cutting a stream into pieces
-changes no result either.
+run_stream calls, and which returns the earlier matrix itself for the same
+records in the same order), one read_many for the stream, one
+predict_features call over the stream's matrix and its woken rows, and a
+StreamResult of per-beat columns. Every test here pins a batched step to
+the scalar API it replaces, which stays public: fft_features,
+MemristorReader(c, f, l), bayes_infer, decide_wake, mlp_infer and
+backend.predict(beat, mags). Cutting a stream into pieces changes no
+result either.
 """
 
 import csv
@@ -54,7 +56,7 @@ class _FlakyBackend:
             raise RuntimeError("back end down")
         return self._backend.predict(beat, mags)
 
-    def predict_features(self, mags_matrix):
+    def predict_features(self, mags, rows):
         raise RuntimeError("batch path down")
 
 
@@ -94,7 +96,7 @@ def test_feature_matrix_keeps_cached_rows_and_caches_every_new_one(bench_dataset
     beats = _fresh(bench_dataset.test[:3 * FFT_CHUNK + 7])
     reference = np.stack([fft_features(b) for b in beats])
     feature_matrix(beats[::3])  # caches every third record
-    cached = [b.mags for b in beats]
+    cached = [b.cached_row for b in beats]
     calls = _counting_spectra(monkeypatch)
     # cached and uncached records mixed, fed through a generator
     mags, labels = feature_matrix(b for b in beats)
@@ -102,8 +104,9 @@ def test_feature_matrix_keeps_cached_rows_and_caches_every_new_one(bench_dataset
     assert labels.tolist() == [b.label for b in beats]
     assert calls == [FFT_CHUNK, FFT_CHUNK, len(beats) - len(beats[::3]) - 2 * FFT_CHUNK]
     assert all((row is None) == (i % 3 != 0) for i, row in enumerate(cached))
-    assert all(b.mags is row for b, row in zip(beats[::3], cached[::3]))  # kept, not recomputed
-    assert all(b.mags is not None for b in beats)  # every new row is cached
+    assert all(b.cached_row is row for b, row in zip(beats[::3], cached[::3]))  # kept, not recomputed
+    assert all(b.cached_row is not None for b in beats)  # every new row is cached
+    assert all(b.cached_row[0] is mags and b.cached_row[1] == i for i, b in enumerate(beats) if i % 3)
     assert all(np.shares_memory(b.mags, mags) for i, b in enumerate(beats) if i % 3)
     assert np.array_equal(np.stack([b.mags for b in beats]), reference)
 
@@ -118,6 +121,35 @@ def test_feature_matrix_returns_a_read_only_matrix(bench_dataset):
         with pytest.raises(ValueError, match="read-only"):
             beats[0].mags[0] = -1.0
     assert np.array_equal(np.stack([b.mags for b in beats]), reference)
+
+
+def test_feature_matrix_of_one_calls_records_in_order_is_that_calls_matrix(bench_dataset,
+                                                                            monkeypatch):
+    beats = _fresh(bench_dataset.test[:FFT_CHUNK + 9])
+    others = _fresh(bench_dataset.test[-len(beats):])  # another call's records, as many
+    # any other sequence of cached records is copied into a fresh matrix
+    variants = {
+        "reversed": beats[::-1],
+        "prefix": beats[:-1],
+        "repeated": beats[:-1] + beats[-2:-1],
+        "two calls": beats[:FFT_CHUNK] + others[FFT_CHUNK:],
+    }
+    references = {name: np.stack([fft_features(b) for b in v]) for name, v in variants.items()}
+    first, labels = feature_matrix(beats)
+    feature_matrix(others)
+    calls = _counting_spectra(monkeypatch)
+    again, again_labels = feature_matrix(b for b in beats)
+    assert again is first and calls == []
+    assert again_labels.tolist() == labels.tolist() == [b.label for b in beats]
+    with pytest.raises(ValueError, match="read-only"):
+        again[0, 0] = -1.0
+    for name, variant in variants.items():
+        mags, variant_labels = feature_matrix(variant)
+        assert mags is not first and not np.shares_memory(mags, first), name
+        assert np.array_equal(mags, references[name]), name
+        assert variant_labels.tolist() == [b.label for b in variant], name
+    assert calls == []
+    assert all(b.cached_row[0] is first for b in beats)  # a copy caches nothing new
 
 
 def test_second_stream_over_the_same_beats_makes_no_fft_call(bench_dataset, bench_model,
@@ -176,7 +208,7 @@ def test_batched_backend_equals_mlp_infer_on_every_woken_beat(bench_backend, ben
     mags, _ = bench_test
     woken = [i for i, o in enumerate(regime_streams["B"].outcomes) if o.wake]
     assert len(woken) > 3000
-    preds = bench_backend.predict_features(mags[woken])
+    preds = bench_backend.predict_features(mags, woken)
     q = bench_backend.input_quantizer(mags[woken][:, list(bench_backend.bins)])
     _, logits = mlp_forward(q, bench_backend.model)
     for k, i in enumerate(woken):
@@ -380,15 +412,15 @@ class _CountingReader:
 
 
 class _CountingBackend:
-    """A back end that counts its predict_features calls."""
+    """A back end that records the (mags, rows) of its predict_features calls."""
 
     def __init__(self, backend):
         self._backend = backend
-        self.calls = 0
+        self.calls = []
 
-    def predict_features(self, mags_matrix):
-        self.calls += 1
-        return self._backend.predict_features(mags_matrix)
+    def predict_features(self, mags, rows):
+        self.calls.append((mags, rows))
+        return self._backend.predict_features(mags, rows)
 
 
 @pytest.mark.parametrize("name", ["B", "C"])
@@ -413,7 +445,24 @@ def test_a_stream_makes_one_read_many_call_and_one_backend_call(bench_test, benc
     result = run_features(mags, labels, bench_model, reader, backend)
     assert result.n == len(mags) and (result.reason != 0).any() and result.backend_errors == 0
     assert reader.read_many_calls == 1
-    assert backend.calls == 1
+    assert len(backend.calls) == 1
+
+
+def test_the_back_end_gets_the_stream_matrix_and_the_woken_rows(bench_dataset, bench_model,
+                                                                  bench_backend):
+    beats = _fresh(bench_dataset.test[::8])  # class-major order, so stride to mix classes
+    mags, labels = feature_matrix(beats)
+    for name, stream in (("run_features", lambda backend: run_features(
+                              mags, labels, bench_model, IdealReader(bench_model), backend)),
+                         ("run_stream", lambda backend: run_stream(
+                              beats, bench_model, IdealReader(bench_model), backend))):
+        backend = _CountingBackend(bench_backend)
+        result = stream(backend)
+        [(got, rows)] = backend.calls
+        assert got is mags, name  # the matrix itself, not a copy of the woken rows
+        assert rows.tolist() == np.flatnonzero(result.reason).tolist() == \
+            np.flatnonzero(labels).tolist(), name
+        assert result.backend_errors == 0 and result.system.tolist() == labels.tolist(), name
 
 
 class _RowFlakyBackend:
@@ -423,10 +472,10 @@ class _RowFlakyBackend:
         self._backend = backend
         self._bad = bad
 
-    def predict_features(self, mags_matrix):
-        if len(mags_matrix) > 1 or any(np.array_equal(mags_matrix[0], row) for row in self._bad):
+    def predict_features(self, mags, rows):
+        if len(rows) > 1 or any(np.array_equal(mags[rows[0]], row) for row in self._bad):
             raise RuntimeError("back end down")
-        return self._backend.predict_features(mags_matrix)
+        return self._backend.predict_features(mags, rows)
 
 
 def test_run_features_retries_a_failed_block_row_by_row(bench_test, bench_model, bench_backend):

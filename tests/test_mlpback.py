@@ -312,20 +312,20 @@ def test_untrained_backend_predicts_at_chance(bench_train, bench_test, bench_ran
     mags, labels = bench_train
     clf = fit_backend(mags, labels, bench_ranked, TrainConfig(epochs=0, seed=3))
     test_mags, test_labels = bench_test
-    acc = float(np.mean(clf.predict_features(test_mags) == test_labels))
+    acc = float(np.mean(clf.predict_features(test_mags, np.arange(len(test_mags))) == test_labels))
     assert 0.2 <= acc <= 0.3
 
 
 def test_short_training_fits_the_training_set(bench_train, bench_ranked):
     mags, labels = bench_train
     clf = fit_backend(mags, labels, bench_ranked, TrainConfig(epochs=50, seed=3))
-    acc = float(np.mean(clf.predict_features(mags) == labels))
+    acc = float(np.mean(clf.predict_features(mags, np.arange(len(mags))) == labels))
     assert acc >= 0.99
 
 
 def test_quantized_tracks_float_accuracy(bench_backend, bench_test):
     mags, labels = bench_test
-    int_preds = bench_backend.predict_features(mags)
+    int_preds = bench_backend.predict_features(mags, np.arange(len(mags)))
     float_ref = bench_backend.model.float_ref
     agree = 0
     for row, ip in zip(mags, int_preds):
@@ -344,7 +344,7 @@ def test_predict_features_matches_per_beat_predict(bench_backend, bench_dataset)
     for beat in beats:
         mags = fft_features(beat)
         single = bench_backend.predict(beat, mags)
-        batch = bench_backend.predict_features(mags[None, :])[0]
+        batch = bench_backend.predict_features(mags[None, :], [0])[0]
         assert single == batch
 
 
@@ -381,3 +381,13 @@ def test_classifier_file_layout(tmp_path, bench_backend):
     assert isinstance(first["weights"], str)  # packed blobs, not number lists
     assert first["zp_in"] == -128
     assert doc["layers"][-1]["s_out"] is None
+
+
+def test_predict_features_labels_the_given_rows_of_the_matrix(bench_backend, bench_test):
+    mags, _ = bench_test
+    rows = np.array([7, 3100, 3, 3, 1650, 0])  # out of order, one repeated
+    whole = bench_backend.predict_features(mags, np.arange(len(mags)))
+    got = bench_backend.predict_features(mags, rows)
+    assert got.tolist() == whole[rows].tolist()
+    assert got.tolist() == bench_backend.predict_features(mags[rows], np.arange(len(rows))).tolist()
+    assert len(set(whole[rows].tolist())) > 1

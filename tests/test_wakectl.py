@@ -172,9 +172,9 @@ class _RecordingBackend:
     def __init__(self):
         self.asked = 0
 
-    def predict_features(self, mags):
-        self.asked += len(mags)
-        return np.zeros(len(mags), dtype=np.int64)
+    def predict_features(self, mags, rows):
+        self.asked += len(rows)
+        return np.zeros(len(rows), dtype=np.int64)
 
     def predict(self, beat, mags):
         self.asked += 1
