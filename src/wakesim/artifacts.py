@@ -1,17 +1,21 @@
 """The canonical JSON encoding of artifacts, and checked reads of them.
 
-Model files, array states and reports come from outside the program, so
-their loaders read inside `reading(path, what)`: a missing key, a value of
-the wrong JSON type or a list of the wrong length surfaces as one
-DataError that names the file, never as a KeyError or TypeError from deep
-inside the loader or, later, from the code that uses what it loaded.
+Model files, array states, feature caches, CSV tables and reports come
+from outside the program, so their loaders read inside `reading(path,
+what)`: a missing key, a value of the wrong JSON type, a list of the wrong
+length or bytes that are not UTF-8 text surface as one DataError that
+names the file, never as a KeyError or TypeError from deep inside the
+loader or, later, from the code that uses what it loaded.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import zipfile
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import DataError
 
@@ -69,5 +73,15 @@ def reading(path, what: str):
         yield
     except KeyError as exc:
         raise DataError(f"{path}: malformed {what}: missing key {exc}") from exc
-    except (TypeError, ValueError, IndexError, OverflowError, zipfile.BadZipFile) as exc:
+    except UnicodeDecodeError as exc:  # no offset: a text file's decoder counts from its buffered block
+        raise DataError(f"{path}: malformed {what}: not UTF-8 text ({exc.reason})") from exc
+    except (TypeError, ValueError, IndexError, OverflowError, zipfile.BadZipFile, csv.Error) as exc:
         raise DataError(f"{path}: malformed {what}: {exc}") from exc
+
+
+def load_npz(path):
+    """np.load of the .npz archive at path, with pickles refused; call it inside `reading`."""
+    # np.load takes anything that is not a zip or .npy file for a pickle.
+    if not zipfile.is_zipfile(path):
+        raise ValueError("not an .npz archive")
+    return np.load(path, allow_pickle=False)

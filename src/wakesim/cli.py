@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import bayesfront, config as cfg, energymodel, memsim, mlpback, report as reportmod
-from .artifacts import reading
+from .artifacts import load_npz, reading
 from .data import default_rates_fixture
 from .datapipe import beats as beatsmod
 from .datapipe import features as featmod
@@ -129,7 +129,7 @@ def _load_features(data_dir: str):
     if not os.path.exists(path):
         raise DataError(f"{path} not found; run prepare-data first")
     arrays = []
-    with np.load(path) as npz, reading(path, "feature cache"):
+    with reading(path, "feature cache"), load_npz(path) as npz:
         for split in ("train", "test"):
             mags, labels = npz[f"{split}_mags"], npz[f"{split}_labels"]
             if mags.ndim != 2 or mags.shape[1] != featmod.FEATURE_LEN:

@@ -65,7 +65,7 @@ def load_config(path: str | None, **flags: dict) -> configparser.ConfigParser:
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {path}: {exc}")
         # Keys of a [DEFAULT] section would show up in every section.
         if parser.defaults():

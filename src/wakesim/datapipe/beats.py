@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..artifacts import save_json
+from ..artifacts import reading, save_json
 from ..errors import DataError, ParseError
 from . import wfdb212
 
@@ -29,11 +29,11 @@ class BeatRecord:
     A record is read-only. `samples` is a read-only float64 array that the
     record owns: an input that is a view of another array is copied, an
     array that owns its data is adopted and made read-only. `cached_row` is
-    (matrix, i) once datapipe.features' feature_matrix, the only code that
-    writes it, has computed the beat's FFT feature row (None until then):
-    row i of the read-only matrix that call returned, which `mags` reads.
-    It can be cached because `samples` cannot change. Records compare and
-    hash by identity.
+    a slot of datapipe.features' feature_matrix, the only code that reads
+    or writes it: (matrix, i) once a call has transformed the record, row i
+    of the read-only matrix that call returned (None until then). It can be
+    cached because `samples` cannot change. Records compare and hash by
+    identity.
     """
 
     samples: np.ndarray
@@ -55,14 +55,6 @@ class BeatRecord:
         if not 0 <= self.label < N_CLASSES:
             raise ValueError(f"label {self.label} outside [0, {N_CLASSES - 1}]")
         object.__setattr__(self, "label", int(self.label))
-
-    @property
-    def mags(self) -> np.ndarray | None:
-        """The cached FFT feature row, a read-only row view; None if there is none."""
-        if self.cached_row is None:
-            return None
-        matrix, i = self.cached_row
-        return matrix[i]
 
 
 @dataclass
@@ -119,12 +111,12 @@ def load_wfdb_record(path_prefix: str):
 
 
 def _parse_file(path: str, mode: str, parse, *args):
-    """parse(contents of path, *args); a ParseError names the file."""
-    with open(path, mode) as fh:
-        data = fh.read()
+    """parse(contents of path, *args); a ParseError or a text file that is not UTF-8 names the file."""
     try:
+        with open(path, mode) as fh:
+            data = fh.read()
         return parse(data, *args)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -199,7 +191,7 @@ def write_beats_csv(path: str, beats) -> None:
 
 def read_beats_csv(path: str) -> list[BeatRecord]:
     beats = []
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, reading(path, "beats CSV"):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_HEADER:

@@ -43,11 +43,10 @@ def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
 
     `beats` is any iterable of beat records. If they are exactly the records
     of one earlier call, in the same order, that call's matrix is returned
-    itself: no copy and no FFT. Otherwise rows the records already hold are
-    copied, not transformed again; the batched FFT runs over the other
-    records in blocks of at most FFT_CHUNK, and each new row is cached on
-    its record as (mags, row index). `mags` is read-only, so the cache
-    cannot be written through it.
+    itself: no copy and no FFT. Any other sequence is transformed whole, in
+    blocks of at most FFT_CHUNK records, and each record then caches its row
+    of the new matrix as (mags, row index), replacing any earlier entry.
+    `mags` is read-only, so the cache cannot be written through it.
     """
     beats = list(beats)
     labels = np.array([beat.label for beat in beats], dtype=np.int64)
@@ -55,18 +54,12 @@ def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
     if reused is not None:
         return reused, labels
     mags = np.empty((len(beats), FEATURE_LEN), dtype=np.float64)
-    new = []
-    for i, beat in enumerate(beats):
-        if beat.cached_row is None:
-            new.append(i)
-        else:
-            mags[i] = beat.mags
-    for start in range(0, len(new), FFT_CHUNK):
-        block = new[start:start + FFT_CHUNK]
-        mags[block] = _spectra(np.stack([beats[i].samples for i in block]))
+    for start in range(0, len(beats), FFT_CHUNK):
+        block = beats[start:start + FFT_CHUNK]
+        mags[start:start + len(block)] = _spectra(np.stack([beat.samples for beat in block]))
     mags.flags.writeable = False
-    for i in new:
-        object.__setattr__(beats[i], "cached_row", (mags, i))
+    for i, beat in enumerate(beats):
+        object.__setattr__(beat, "cached_row", (mags, i))
     return mags, labels
 
 

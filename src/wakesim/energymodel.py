@@ -19,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 
+from .artifacts import reading
 from .errors import DataError
 
 
@@ -132,7 +133,7 @@ class RatesTable:
     @classmethod
     def from_csv(cls, path: str, vddr: float | None = None) -> "RatesTable":
         rows = []
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh, reading(path, "rates CSV"):
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != cls.HEADER:

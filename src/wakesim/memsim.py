@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import NUMBER, parse_json, reading, typed, typed_list
+from .artifacts import NUMBER, load_npz, parse_json, reading, typed, typed_list
 from .bayesfront import BayesModel, word_address, word_addresses
 
 WORD_BITS = 8
@@ -349,10 +348,7 @@ def save_array_state(path: str, state: ArrayState, op: OperatingPoint,
 
 def load_array_state(path: str) -> tuple[ArrayState, OperatingPoint, ReadErrorModel]:
     with reading(path, "array state"):
-        # np.load takes anything that is not a zip or .npy file for a pickle.
-        if not zipfile.is_zipfile(path):
-            raise ValueError("not an .npz archive")
-        with np.load(path, allow_pickle=False) as npz:
+        with load_npz(path) as npz:
             r_bl, r_blb, codes = npz["r_bl"], npz["r_blb"], npz["codes"]
             meta = typed(parse_json(str(npz["meta"])), dict, "meta")
         if codes.ndim != 3 or not r_bl.shape == r_blb.shape == codes.shape + (WORD_BITS,):

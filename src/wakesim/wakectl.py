@@ -12,10 +12,10 @@ StreamResult of per-beat columns (true, front and system labels, wake
 reason code, back-end error). The batch size cannot change a result: read
 noise is counter-based per address and the back end is row-independent.
 run_stream is run_features over beat records: datapipe.features'
-feature_matrix gives their matrix, running the FFT only over records that
-hold no cached feature row and caching the new rows, so streaming the same
-record objects again in one process (one split through several regimes)
-makes no FFT call and no copy.
+feature_matrix gives their matrix. Streaming exactly the same records again,
+in the same order, in one process (one split through several regimes) gets
+the first call's matrix back with no FFT call and no copy; any other
+sequence is transformed whole.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 # perfbench's tracer patches wakectl.bayes_infer; the per-beat import can go with ROADMAP item 1.
 from .bayesfront import BayesModel, ClassScores, ScoreBatch, bayes_infer, bayes_infer_many
 from .datapipe.beats import N_CLASSES
-from .datapipe.features import feature_matrix
+# Called through its module, so a patch of features.feature_matrix (perfbench's tracer) sees streams.
+from .datapipe import features
 from .metrics import ConfusionMatrix, count_pairs
 
 
@@ -247,15 +248,14 @@ def run_stream(beats, model: BayesModel, reader, backend,
                policy: WakePolicy = WakePolicy()) -> StreamResult:
     """run_features over beat records, with a per-beat back-end fallback.
 
-    `beats` may be any iterable of beat records; their features come from
-    feature_matrix, which transforms only the records that hold no cached
-    row. The one difference from run_features: a back end without
-    predict_features, or whose predict_features raises, labels each woken
-    beat through backend.predict(beat, mags). The outcomes are the same as
-    beat by beat.
+    `beats` may be any iterable of beat records; their matrix comes from
+    features.feature_matrix. The one difference from run_features: a back
+    end without predict_features, or whose predict_features raises, labels
+    each woken beat through backend.predict(beat, mags). The outcomes are
+    the same as beat by beat.
     """
     beats = list(beats)
-    mags, labels = feature_matrix(beats)
+    mags, labels = features.feature_matrix(beats)
     return _run(mags, labels, model, reader, getattr(backend, "predict_features", None),
                 lambda i: backend.predict(beats[i], mags[i]), policy)
 

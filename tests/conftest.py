@@ -123,7 +123,8 @@ def _write_record(directory, name, samples, annotations, fs=360,
     lines = [f"{name} 2 {fs} {arr.shape[1]}"]
     for _ in range(2):
         lines.append(f"{name}.dat 212 {gain:g}({baseline:g})/mV")
-    (directory / f"{name}.hea").write_text("\n".join(lines) + "\n")
+    # surrogateescape writes a lone surrogate such as \udcff as the raw byte 0xff
+    (directory / f"{name}.hea").write_text("\n".join(lines) + "\n", errors="surrogateescape")
     (directory / f"{name}.dat").write_bytes(wfdb212.encode_212(arr))
     (directory / f"{name}.atr").write_bytes(wfdb212.encode_annotations(annotations))
 

@@ -1,9 +1,9 @@
 """The batch stream core against the per-beat, per-read reference paths.
 
 run_features and run_stream run a whole stream as one batch: one FFT call
-per FFT_CHUNK records without a cached feature row (feature_matrix, which
-run_stream calls, and which returns the earlier matrix itself for the same
-records in the same order), one read_many for the stream, one
+per FFT_CHUNK records (feature_matrix, which run_stream calls, and which
+returns the earlier matrix itself for exactly one earlier call's records
+in the same order), one read_many for the stream, one
 predict_features call over the stream's matrix and its woken rows, and a
 StreamResult of per-beat columns. Every test here pins a batched step to
 the scalar API it replaces, which stays public: fft_features,
@@ -92,42 +92,52 @@ def _counting_spectra(monkeypatch):
     return calls
 
 
-def test_feature_matrix_keeps_cached_rows_and_caches_every_new_one(bench_dataset, monkeypatch):
+def _cached_rows(beats) -> np.ndarray:
+    """The feature rows the records cache, stacked."""
+    return np.stack([b.cached_row[0][b.cached_row[1]] for b in beats])
+
+
+def test_feature_matrix_transforms_a_partly_cached_sequence_whole_and_recaches_it(bench_dataset,
+                                                                                  monkeypatch):
     beats = _fresh(bench_dataset.test[:3 * FFT_CHUNK + 7])
     reference = np.stack([fft_features(b) for b in beats])
-    feature_matrix(beats[::3])  # caches every third record
+    first, _ = feature_matrix(beats[::3])  # caches every third record
     cached = [b.cached_row for b in beats]
     calls = _counting_spectra(monkeypatch)
-    # cached and uncached records mixed, fed through a generator
+    # records cached by another call and uncached ones mixed, fed through a generator
     mags, labels = feature_matrix(b for b in beats)
     assert np.array_equal(mags, reference)
     assert labels.tolist() == [b.label for b in beats]
-    assert calls == [FFT_CHUNK, FFT_CHUNK, len(beats) - len(beats[::3]) - 2 * FFT_CHUNK]
+    assert calls == [FFT_CHUNK, FFT_CHUNK, FFT_CHUNK, 7]  # every record, cached or not
     assert all((row is None) == (i % 3 != 0) for i, row in enumerate(cached))
-    assert all(b.cached_row is row for b, row in zip(beats[::3], cached[::3]))  # kept, not recomputed
-    assert all(b.cached_row is not None for b in beats)  # every new row is cached
-    assert all(b.cached_row[0] is mags and b.cached_row[1] == i for i, b in enumerate(beats) if i % 3)
-    assert all(np.shares_memory(b.mags, mags) for i, b in enumerate(beats) if i % 3)
-    assert np.array_equal(np.stack([b.mags for b in beats]), reference)
+    assert all(b.cached_row is not row for b, row in zip(beats[::3], cached[::3]))  # replaced
+    assert all(b.cached_row[0] is mags and b.cached_row[1] == i for i, b in enumerate(beats))
+    assert np.array_equal(_cached_rows(beats), reference)
+    assert np.array_equal(first, reference[::3])  # the earlier call's matrix is left as it was
 
 
 def test_feature_matrix_returns_a_read_only_matrix(bench_dataset):
     beats = _fresh(bench_dataset.test[:FFT_CHUNK + 9])
     reference = np.stack([fft_features(b) for b in beats])
-    feature_matrix(beats[::2])
-    for mags, _ in (feature_matrix(beats), feature_matrix(beats)):  # part cached, then all cached
+    partial, _ = feature_matrix(beats[::2])
+    transformed, _ = feature_matrix(beats)
+    reused, _ = feature_matrix(beats)
+    assert reused is transformed
+    for mags in (partial, transformed):
         with pytest.raises(ValueError, match="read-only"):
             mags[:] = -1.0
-        with pytest.raises(ValueError, match="read-only"):
-            beats[0].mags[0] = -1.0
-    assert np.array_equal(np.stack([b.mags for b in beats]), reference)
+    matrix, i = beats[0].cached_row
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[i, 0] = -1.0
+    assert np.array_equal(transformed, reference) and np.array_equal(partial, reference[::2])
+    assert np.array_equal(_cached_rows(beats), reference)
 
 
 def test_feature_matrix_of_one_calls_records_in_order_is_that_calls_matrix(bench_dataset,
                                                                             monkeypatch):
     beats = _fresh(bench_dataset.test[:FFT_CHUNK + 9])
     others = _fresh(bench_dataset.test[-len(beats):])  # another call's records, as many
-    # any other sequence of cached records is copied into a fresh matrix
+    # any other sequence of cached records is transformed whole into a fresh matrix
     variants = {
         "reversed": beats[::-1],
         "prefix": beats[:-1],
@@ -136,6 +146,7 @@ def test_feature_matrix_of_one_calls_records_in_order_is_that_calls_matrix(bench
     }
     references = {name: np.stack([fft_features(b) for b in v]) for name, v in variants.items()}
     first, labels = feature_matrix(beats)
+    reference = first.copy()
     feature_matrix(others)
     calls = _counting_spectra(monkeypatch)
     again, again_labels = feature_matrix(b for b in beats)
@@ -144,12 +155,16 @@ def test_feature_matrix_of_one_calls_records_in_order_is_that_calls_matrix(bench
     with pytest.raises(ValueError, match="read-only"):
         again[0, 0] = -1.0
     for name, variant in variants.items():
+        calls.clear()
         mags, variant_labels = feature_matrix(variant)
         assert mags is not first and not np.shares_memory(mags, first), name
         assert np.array_equal(mags, references[name]), name
         assert variant_labels.tolist() == [b.label for b in variant], name
-    assert calls == []
-    assert all(b.cached_row[0] is first for b in beats)  # a copy caches nothing new
+        assert sum(calls) == len(variant) and max(calls) <= FFT_CHUNK, name
+        # each record re-caches on the new matrix; a repeated record keeps its last row
+        assert all(b.cached_row[0] is mags and variant[b.cached_row[1]] is b for b in variant), name
+    assert np.array_equal(first, reference) and not first.flags.writeable
+    assert feature_matrix(beats)[0] is not first  # its records now cache other matrices
 
 
 def test_second_stream_over_the_same_beats_makes_no_fft_call(bench_dataset, bench_model,
@@ -163,6 +178,36 @@ def test_second_stream_over_the_same_beats_makes_no_fft_call(bench_dataset, benc
     second = run_stream(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend)
     assert calls == [FFT_CHUNK, 44]
     assert second == first
+
+
+def test_a_stream_over_another_sequence_of_streamed_records_transforms_it_whole(
+        bench_dataset, bench_model, bench_backend, monkeypatch):
+    split = _fresh(bench_dataset.test[:FFT_CHUNK + 40])
+    others = _fresh(bench_dataset.test[-len(split):])
+    for beats in (split, others):
+        run_stream(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend)
+    first = split[0].cached_row[0]
+    reference = first.copy()
+    # run_stream calls features.feature_matrix through the module, so a patch
+    # of the module attribute (as the bench tracer makes) sees every stream.
+    calls = []
+    matrix = features.feature_matrix
+    monkeypatch.setattr(features, "feature_matrix", lambda beats: calls.append(matrix(beats)) or calls[-1])
+    sequences = {"reversed subset": split[::-3], "two calls": split[:FFT_CHUNK] + others[FFT_CHUNK:]}
+    for name, beats in sequences.items():
+        result = run_stream(iter(beats), bench_model, _preset_reader(bench_model, "B"), bench_backend)
+        (mags, labels), = calls
+        calls.clear()
+        assert labels.tolist() == [b.label for b in beats], name
+        assert mags is not first and not np.shares_memory(mags, first), name
+        assert np.array_equal(mags, np.stack([fft_features(b) for b in beats])), name
+        assert all(b.cached_row[0] is mags and b.cached_row[1] == i for i, b in enumerate(beats)), name
+        assert result == run_stream(_fresh(beats), bench_model, _preset_reader(bench_model, "B"),
+                                    bench_backend), name
+        calls.clear()
+    assert np.array_equal(first, reference)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = -1.0
 
 
 def test_flip_table_equals_per_read_flip_probability(bench_model):
@@ -378,7 +423,7 @@ def test_stream_over_a_generator_equals_the_stream_over_the_list(bench_dataset, 
                                                                  bench_backend):
     listed, generated = (_fresh(bench_dataset.test[:FFT_CHUNK + 30]) for _ in range(2))
     for beats in (listed, generated):
-        feature_matrix(beats[::5])  # some records hold a cached row, the rest are transformed
+        feature_matrix(beats[::5])  # some records hold a row of another matrix, the rest none
     from_list = run_stream(listed, bench_model, _preset_reader(bench_model, "B"), bench_backend)
     from_generator = run_stream((b for b in generated), bench_model,
                                 _preset_reader(bench_model, "B"), bench_backend)

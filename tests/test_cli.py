@@ -217,14 +217,17 @@ def test_missing_features_is_a_data_error(workspace, tmp_path):
     assert "run prepare-data first" in result.stderr
 
 
-def test_corrupt_features_is_a_runtime_error(workspace, tmp_path):
+@pytest.mark.parametrize("corrupt", [lambda raw: b"not a zipfile at all", lambda raw: raw[:len(raw) // 2],
+                                     lambda raw: b""], ids=["not-a-zip", "truncated", "empty"])
+def test_corrupt_features_is_a_data_error_naming_the_file(workspace, tmp_path, corrupt):
     paths, _ = workspace
     broken = tmp_path / "data"
     shutil.copytree(paths["data"], broken)
-    (broken / "features.npz").write_bytes(b"not a zipfile at all")
+    path = broken / "features.npz"
+    path.write_bytes(corrupt(path.read_bytes()))
     result = _invoke(["train", "--data", str(broken), "--out", str(tmp_path / "m")])
-    assert result.exit_code == 4
-    assert "wakesim: error: runtime:" in result.stderr
+    _assert_one_error_line(result, codes=(3,))
+    assert result.stderr == f"wakesim: error: data: {path}: malformed feature cache: not an .npz archive\n"
 
 
 def _malform(arrays: dict, case: str) -> None:
@@ -525,21 +528,24 @@ def _command(paths, tmp_path, name: str) -> list[str]:
     ("program", "[operating_point]\nvddd = 1.1\n", [], "[operating_point] vddd: unknown key"),
     ("prepare-data", "[datset]\nseed = 4\n", [], "[datset]: unknown section"),
     ("sweep", "[DEFAULT]\nseed = 4\n", [], "[DEFAULT]: unknown section"),
+    ("train", "[train]\nseed = \udcff\n", [],
+     "malformed config file {ini}: 'utf-8' codec can't decode byte 0xff in position 15"),
 ], ids=["codec-base", "codec-width", "batch-size", "epochs", "lr-nan", "beats-per-class",
         "test-per-class", "source", "policy-bool", "pi-range", "percent", "empty-ts", "empty-vdd",
         "preset-and-tables", "partial-tables", "e-service-nan", "hrs-sigma-nan", "hrs-mean-inf", "table-nan", "table-repeated-x",
         "ts-negative", "ts-nan", "ts-inf", "vdd-nan", "vdd-negative", "vdd-zero", "dataset-seed", "train-seed", "program-seed",
         "run-seed-negative", "run-seed-2**64", "run-seed-file", "unknown-key", "stale-e-fe-curve",
-        "unknown-table-key", "unknown-section", "default-section"])
+        "unknown-table-key", "unknown-section", "default-section", "not-utf8"])
 def test_bad_setting_is_one_config_error_line(workspace, tmp_path, name, conf, flags, message):
     paths, _ = workspace
     args = _command(paths, tmp_path, name) + flags
+    ini = tmp_path / "bad.ini"
     if conf:
-        (tmp_path / "bad.ini").write_text(conf)
-        args += ["--config", str(tmp_path / "bad.ini")]
+        ini.write_text(conf, errors="surrogateescape")  # \udcff is written as the byte 0xff
+        args += ["--config", str(ini)]
     result = _invoke(args)
     _assert_one_error_line(result, codes=(2,))
-    assert result.stderr.startswith(f"wakesim: error: config: {message}"), result.stderr
+    assert result.stderr.startswith(f"wakesim: error: config: {message.format(ini=ini)}"), result.stderr
 
 
 def test_explicit_operating_point_tables_are_programmed(workspace, tmp_path):
@@ -607,16 +613,19 @@ def test_train_on_a_csv_train_split_without_a_class_is_a_data_error(tmp_path):
                              "train_labels hold no beat of class 3; training needs every class\n")
 
 
+# A message starts with where the error is: the file's line, or the file as a whole.
 @pytest.mark.parametrize("column, value, message", [
-    (0, "7", "label 7 outside [0, 3]"),
-    (0, "1.5", "invalid literal for int() with base 10: '1.5'"),
-    (0, "N", "invalid literal for int() with base 10: 'N'"),
-    (2, "x", "invalid literal for int() with base 10: 'x'"),
-    (3, "oops", "could not convert string to float: 'oops'"),
-    (200, "nan", "samples must be finite"),
-    (3, "-inf", "samples must be finite"),
+    (0, "7", ":3: label 7 outside [0, 3]"),
+    (0, "1.5", ":3: invalid literal for int() with base 10: '1.5'"),
+    (0, "N", ":3: invalid literal for int() with base 10: 'N'"),
+    (2, "x", ":3: invalid literal for int() with base 10: 'x'"),
+    (3, "oops", ":3: could not convert string to float: 'oops'"),
+    (200, "nan", ":3: samples must be finite"),
+    (3, "-inf", ":3: samples must be finite"),
+    (1, "syn\udcff", ": malformed beats CSV: not UTF-8 text (invalid start byte)"),
+    (3, "1" * 200_000, ": malformed beats CSV: field larger than field limit (131072)"),
 ], ids=["label-range", "label-fraction", "label-text", "beat-index", "sample-text", "sample-nan",
-        "sample-inf"])
+        "sample-inf", "not-utf8", "field-too-long"])
 @pytest.mark.parametrize("command", ["prepare-data", "run"])
 def test_malformed_beats_csv_row_is_a_data_error_naming_the_line(workspace, tmp_path, command,
                                                                  column, value, message):
@@ -629,7 +638,8 @@ def test_malformed_beats_csv_row_is_a_data_error_naming_the_line(workspace, tmp_
     with open(data / "test.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     rows[2][column] = value
-    with open(data / "test.csv", "w", newline="") as fh:
+    # surrogateescape writes a lone surrogate such as \udcff as the raw byte 0xff
+    with open(data / "test.csv", "w", newline="", errors="surrogateescape") as fh:
         csv.writer(fh).writerows(rows)
     if command == "prepare-data":
         args = ["prepare-data", "--out", str(tmp_path / "out"), "--source", "csv",
@@ -639,7 +649,7 @@ def test_malformed_beats_csv_row_is_a_data_error_naming_the_line(workspace, tmp_
                 "--ideal", "--out", str(tmp_path / "out")]
     result = _invoke(args)
     _assert_one_error_line(result, codes=(3,))
-    assert result.stderr == f"wakesim: error: data: {data / 'test.csv'}:3: {message}\n"
+    assert result.stderr == f"wakesim: error: data: {data / 'test.csv'}{message}\n"
 
 
 def test_prepare_data_from_wfdb_source(wfdb_dir_factory, tmp_path):
@@ -659,7 +669,8 @@ def test_prepare_data_from_wfdb_source(wfdb_dir_factory, tmp_path):
 @pytest.mark.parametrize("fs, message", [
     ("nan", "data: {dir}/100.hea: sampling frequency must be finite and positive: '100 2 nan 600'"),
     ("360.7", "data: 100: sample rate 360.7 != 360"),
-], ids=["nan", "fractional"])
+    ("\udcff", "data: {dir}/100.hea: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+], ids=["nan", "fractional", "not-utf8"])
 def test_prepare_data_rejects_a_bad_wfdb_sample_rate(wfdb_record_writer, tmp_path, fs, message):
     directory = wfdb_record_writer("100", np.zeros((2, 600), dtype=np.int64), [(300, "N")], fs=fs)
     result = _invoke(["prepare-data", "--out", str(tmp_path / "out"), "--source", "wfdb",

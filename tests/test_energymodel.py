@@ -194,10 +194,12 @@ def test_rates_table_vddr_filter(tmp_path):
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0,nan\n", r"bad.csv:2: p_wake_n=nan outside \[0, 1\]"),
     ("vdd,vddr,p_wake_abn,p_wake_n\nnan,2.4,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,inf,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0,0.1\udcff\n",
+     r"bad.csv: malformed rates CSV: not UTF-8 text \(invalid start byte\)"),
 ])
 def test_rates_table_rejects_malformed_csv(tmp_path, text, message):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_text(text, errors="surrogateescape")  # \udcff is written as the byte 0xff
     with pytest.raises(DataError, match=message):
         RatesTable.from_csv(path)
 
