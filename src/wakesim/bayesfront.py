@@ -203,25 +203,15 @@ def fit_bayes_model(mags, labels, ranked_bins, codec: LogCodec = LogCodec()) -> 
 
 
 def bayes_infer(levels, model: BayesModel, reader) -> ClassScores:
-    """Accumulate per-class codes through a word reader and pick the argmin.
-
-    The reader is any callable (class_id, feature, level) -> code. An
-    exception from the reader propagates, as it does from read_many in
-    bayes_infer_many.
+    """bayes_infer_many of one beat through a word reader: any callable
+    (class_id, feature, level) -> code, called in class-then-feature order.
+    An exception from the reader propagates, as it does from read_many.
     """
     scores = [
         sum(int(reader(c, f, int(levels[f]))) for f in range(N_FEATURES))
         for c in range(N_CLASSES)
     ]
-    smin = min(scores)
-    predicted = scores.index(smin)
-    tie_with_normal = scores[0] == smin and any(s == smin for s in scores[1:])
-    return ClassScores(
-        scores=tuple(scores),
-        predicted=predicted,
-        tie_with_normal=tie_with_normal,
-        invalid=smin >= model.invalid_threshold,
-    )
+    return _decide(np.array([scores], dtype=np.int64), model)[0]
 
 
 @dataclass(frozen=True)
@@ -257,7 +247,11 @@ def bayes_infer_many(levels, model: BayesModel, reader) -> ScoreBatch:
     features = np.broadcast_to(np.arange(n_features)[None, None, :], shape)
     words = reader.read_many(class_ids.ravel(), features.ravel(),
                              np.broadcast_to(levels[:, None, :], shape).ravel())
-    scores = np.asarray(words, dtype=np.int64).reshape(shape).sum(axis=2)
+    return _decide(np.asarray(words, dtype=np.int64).reshape(shape).sum(axis=2), model)
+
+
+def _decide(scores: np.ndarray, model: BayesModel) -> ScoreBatch:
+    """The decision rule over an (n_beats, N_CLASSES) score matrix: argmin, N tie and invalid flag."""
     smin = scores.min(axis=1)
     return ScoreBatch(
         scores=scores,

@@ -278,6 +278,9 @@ def run(data_dir, bayes_path, mlp_path, state_path, ideal, config_path, seed, ou
         config={"regime": regime, **cfg.config_as_dict(parser)},
         seeds={"read": seed},
     )
+    if not ideal:  # the run reads the state's operating point and seed, not the config's
+        doc["array_state"] = {"label": op.label, "vdd": op.vdd, "vddr": state.vddr,
+                              "program_seed": state.seed}
     reportmod.save_report(os.path.join(out_dir, "report.json"), doc)
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(reportmod.render_report(doc))

@@ -56,7 +56,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class InputQuantizer:
-    """Per-feature affine int8 quantizer for the selected bins."""
+    """Per-feature affine int8 quantizer for the selected bins; inputs are clipped first, so none overflows."""
 
     clip_lo: np.ndarray
     clip_hi: np.ndarray
@@ -68,7 +68,7 @@ class InputQuantizer:
             raise ValueError(f"clip_lo[{i}] {self.clip_lo[i]} must be below clip_hi[{i}] {self.clip_hi[i]}")
 
     def __call__(self, raw) -> np.ndarray:
-        raw = np.asarray(raw, dtype=np.float64)
+        raw = np.clip(np.asarray(raw, dtype=np.float64), self.clip_lo, self.clip_hi)
         unit = (raw - self.clip_lo) / (self.clip_hi - self.clip_lo)
         q = np.floor(unit * 255.0 + 0.5) + INPUT_ZERO_POINT
         return np.clip(q, -128, 127).astype(np.int8)

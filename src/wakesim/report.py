@@ -79,7 +79,8 @@ def _check_report(doc) -> None:
 
     What build_report derives is derived again and must match: the config
     digest from the config, and the classifier and wake sections from the
-    confusion matrices and wake counts they hold.
+    confusion matrices and wake counts they hold. A run through an array
+    state (a regime other than ideal) records the state in array_state.
     """
     typed(doc, dict, "report")
     digest = typed(doc["config_digest"], str, "config_digest")
@@ -87,6 +88,12 @@ def _check_report(doc) -> None:
         raise ValueError("config_digest does not match config")
     for name, seed in typed(doc["seeds"], dict, "seeds").items():
         typed(seed, int, f"seeds.{name}")
+    if "array_state" in doc:
+        state = typed(doc["array_state"], dict, "array_state")
+        for key, kind in (("label", str), ("vdd", NUMBER), ("vddr", NUMBER), ("program_seed", int)):
+            typed(state[key], kind, f"array_state.{key}")
+    elif doc["config"].get("regime", "ideal") != "ideal":
+        raise ValueError("array_state is missing from a run through an array state")
     has_stream = any(key in doc for key in _STREAM_SECTIONS)
     if has_stream:
         wake = typed(doc["wake"], dict, "wake")
@@ -137,6 +144,9 @@ def render_report(report: dict) -> str:
     lines = []
     lines.append(f"config digest : {report.get('config_digest', '')[:16]}")
     lines.append(f"partial       : {report.get('partial')}")
+    if "array_state" in report:
+        state = report["array_state"]
+        lines.append("array state   : " + " ".join(f"{k}={state[k]}" for k in sorted(state)))
     for section in ("front_end", "system"):
         if section not in report:
             continue

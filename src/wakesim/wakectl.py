@@ -33,7 +33,7 @@ from .datapipe import features
 from .metrics import ConfusionMatrix, count_pairs
 
 
-# Wake reason names, indexed by reason code in decide_wake's priority order;
+# Wake reason names, indexed by reason code in wake_codes's priority order;
 # code 0 is a sleep.
 REASONS = ("sleep", "invalid", "abnormal", "ambiguous")
 
@@ -47,20 +47,21 @@ class WakePolicy:
     wake_on_invalid: bool = True
 
 
-def decide_wake(scores: ClassScores, policy: WakePolicy = WakePolicy()) -> int:
-    """The wake reason code of one inference outcome: an index into REASONS.
+def wake_codes(outcome: ScoreBatch | ClassScores, policy: WakePolicy = WakePolicy()) -> np.ndarray:
+    """The wake reason code (an index into REASONS) of each beat of a ScoreBatch, or of one ClassScores.
 
     Wake when the prediction is abnormal, when N ties with an abnormal
     class, or when the result is invalid. Reasons are prioritized
     Invalid > Abnormal > Ambiguous when several apply; 0 is a sleep.
     """
-    if scores.invalid and policy.wake_on_invalid:
-        return 1
-    if scores.predicted != 0 and policy.wake_on_abnormal:
-        return 2
-    if scores.tie_with_normal and policy.wake_on_ambiguous:
-        return 3
-    return 0
+    return np.where(outcome.invalid & policy.wake_on_invalid, 1,
+                    np.where((outcome.predicted != 0) & policy.wake_on_abnormal, 2,
+                             np.where(outcome.tie_with_normal & policy.wake_on_ambiguous, 3, 0)))
+
+
+def decide_wake(scores: ClassScores, policy: WakePolicy = WakePolicy()) -> int:
+    """wake_codes of one inference outcome."""
+    return int(wake_codes(scores, policy))
 
 
 @dataclass(frozen=True)
@@ -155,15 +156,6 @@ class StreamResult:
         with open(path, "w", newline="") as fh:
             fh.write("beat,true,front_pred,wake,reason,system_pred\r\n")
             fh.write("".join(f"{i},{_TRACE_ROWS[k]}" for i, k in enumerate(keys.tolist())))
-
-
-def wake_codes(batch: ScoreBatch, policy: WakePolicy = WakePolicy()) -> np.ndarray:
-    """decide_wake over a batch of inference outcomes: each beat's reason code (0 = sleep)."""
-    return np.select(
-        [batch.invalid & policy.wake_on_invalid,
-         (batch.predicted != 0) & policy.wake_on_abnormal,
-         batch.tie_with_normal & policy.wake_on_ambiguous],
-        [1, 2, 3], 0)
 
 
 def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):

@@ -8,8 +8,10 @@ predict_features call over the stream's matrix and its woken rows, and a
 StreamResult of per-beat columns. Every test here pins a batched step to
 the scalar API it replaces, which stays public: fft_features,
 MemristorReader(c, f, l), bayes_infer, decide_wake, mlp_infer and
-backend.predict(beat, mags). Cutting a stream into pieces changes no
-result either.
+backend.predict(beat, mags). bayes_infer and decide_wake run the batch
+core's decision and wake rules, so those rules are also pinned to the
+numpy-free references in tests/reference.py. Cutting a stream into pieces
+changes no result either.
 """
 
 import csv
@@ -29,6 +31,8 @@ from wakesim.mlpback import mlp_forward, mlp_infer
 from wakesim.report import build_report
 from wakesim.wakectl import (REASONS, BeatOutcome, StreamResult, WakePolicy, decide_wake,
                              run_features, run_stream, wake_codes, wake_stats)
+
+from reference import scalar_infer, scalar_wake_code
 
 # The seeds of the regime_streams fixture.
 PROGRAM_SEED = 5
@@ -238,14 +242,20 @@ def test_read_many_equals_the_same_single_reads(bench_model):
 
 def test_batched_inference_equals_bayes_infer(bench_model):
     levels = np.random.default_rng(7).integers(0, 8, size=(500, N_FEATURES))
-    for reader, twin in ((IdealReader(bench_model), IdealReader(bench_model)),
-                         (_preset_reader(bench_model, "C"), _preset_reader(bench_model, "C"))):
+    for make in (IdealReader, lambda model: _preset_reader(model, "C")):
+        reader, twin, ref = make(bench_model), make(bench_model), make(bench_model)
         batch = bayes_infer_many(levels, bench_model, reader)
+        outcomes = [scalar_infer(row.tolist(), bench_model, ref) for row in levels]
         for i, row in enumerate(levels):
-            assert batch[i] == bayes_infer(row.tolist(), bench_model, twin)
-        for policy in (WakePolicy(), WakePolicy(False, True, False), WakePolicy(True, False, True)):
-            assert wake_codes(batch, policy).tolist() == [
-                decide_wake(batch[i], policy) for i in range(len(levels))]
+            assert batch[i] == outcomes[i] == bayes_infer(row.tolist(), bench_model, twin)
+        seen = set()
+        for flags in itertools.product((True, False), repeat=3):
+            policy = WakePolicy(*flags)
+            codes = [scalar_wake_code(o, policy) for o in outcomes]
+            assert wake_codes(batch, policy).tolist() == codes
+            assert [decide_wake(o, policy) for o in outcomes] == codes
+            seen.update(codes)
+        assert seen == set(range(len(REASONS)))  # every reason fires under some policy
 
 
 def test_batched_backend_equals_mlp_infer_on_every_woken_beat(bench_backend, bench_test,

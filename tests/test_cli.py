@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,39 @@ def test_rerunning_is_byte_identical(workspace, tmp_path):
     assert (tmp_path / "x/report.json").read_bytes() == (tmp_path / "y/report.json").read_bytes()
     assert (tmp_path / "x/trace.csv").read_bytes() == (tmp_path / "y/trace.csv").read_bytes()
     assert (tmp_path / "x/report.json").read_bytes() == (paths["run_a"] / "report.json").read_bytes()
+
+
+def test_noisy_report_records_the_array_state_it_read(workspace, tmp_path):
+    paths, _ = workspace
+    state = tmp_path / "state_c.npz"
+    _ok(["program", "--model", str(paths["bayes"]), "--out", str(state), "--preset", "C",
+         "--seed", "9"])
+    _ok(["run", "--data", str(paths["data"]), "--bayes", str(paths["bayes"]), "--mlp", str(paths["mlp"]),
+         "--array-state", str(state), "--out", str(tmp_path / "run_c")])
+    report = tmp_path / "run_c" / "report.json"
+    doc = json.loads(report.read_text())
+    assert doc["array_state"] == {"label": "C", "vdd": 0.8, "vddr": 2.4, "program_seed": 9}
+    assert doc["config"]["regime"] == "C"
+    line = "array state   : label=C program_seed=9 vdd=0.8 vddr=2.4\n"
+    assert line in (tmp_path / "run_c" / "report.txt").read_text()
+    assert line in _ok(["report", str(report)]).output
+    assert "array_state" not in json.loads((paths["run_ideal"] / "report.json").read_text())
+    for name, edit, message in (
+            ("seed-string", lambda s: s.update(program_seed="9"), "array_state.program_seed is str"),
+            ("vdd-null", lambda s: s.update(vdd=None), "array_state.vdd is NoneType"),
+            ("label-number", lambda s: s.update(label=3), "array_state.label is int"),
+            ("no-vddr", lambda s: s.pop("vddr"), "missing key 'vddr'"),
+            ("deleted", None, "array_state is missing from a run through an array state")):
+        tampered = json.loads(report.read_text())
+        if edit is None:
+            del tampered["array_state"]
+        else:
+            edit(tampered["array_state"])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(tampered))
+        result = _invoke(["report", str(path)])
+        _assert_one_error_line(result, codes=(3,))
+        assert message in result.stderr, name
 
 
 def test_report_command_renders_stored_report(workspace):
@@ -450,6 +484,50 @@ def test_mutated_artifacts_follow_the_exit_code_contract(workspace, data):
     path.parent.mkdir(exist_ok=True)
     path.write_bytes(data.draw(_mutated(paths, artifact)))
     _assert_one_error_line(_invoke(_loading(paths, artifact, path)))
+
+
+_FEATURE_MEMBERS = ("train_mags", "train_labels", "test_mags", "test_labels")
+
+
+@st.composite
+def _value_mutant(draw, arrays):
+    """The feature cache's arrays with one member changed in value, so that the cache is invalid:
+    a sign, a NaN, an integer or bool dtype, another shape, or a label outside the classes."""
+    kind = draw(st.sampled_from(["sign", "nan", "dtype", "shape", "label"]))
+    name = draw(st.sampled_from([m for m in _FEATURE_MEMBERS if kind != "label" or m.endswith("labels")]))
+    a = arrays[name].copy()
+    mags = name.endswith("mags")
+    if kind == "sign":  # a positive magnitude or label turns negative
+        a.flat[draw(st.sampled_from(np.flatnonzero(a > 0).tolist()))] *= -1
+    elif kind == "nan":
+        a = a.astype(np.float64)
+        a.flat[draw(st.integers(0, a.size - 1))] = np.nan
+    elif kind == "dtype":
+        a = a.astype(draw(st.sampled_from([np.int64, np.int32, np.bool_] if mags
+                                          else [np.bool_, np.float64, np.float32])))
+    elif kind == "shape":
+        a = draw(st.sampled_from([a[:-1], a[..., None], a[None], np.append(a, a[:1], axis=0)]
+                                 + ([a[:, :-1], a.ravel(), np.hstack([a, a[:, :1]])] if mags else [])))
+    else:
+        a[draw(st.integers(0, len(a) - 1))] = draw(st.integers(-2 ** 62, -1) | st.integers(4, 2 ** 62))
+    return {**arrays, name: a}
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_value_mutated_feature_cache_follows_the_exit_code_contract(workspace, data):
+    paths, _ = workspace
+    with np.load(paths["data"] / "features.npz") as npz:
+        arrays = dict(npz)
+    data_dir = paths["ws"] / "fuzz_features"
+    data_dir.mkdir(exist_ok=True)
+    np.savez(data_dir / "features.npz", **data.draw(_value_mutant(arrays)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = _invoke(["train", "--data", str(data_dir), "--out", str(paths["ws"] / "fuzz_model"),
+                          "--epochs", "1"])
+    _assert_one_error_line(result, codes=(2, 3))
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_cli_import_loads_no_scipy():

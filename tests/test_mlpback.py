@@ -61,6 +61,9 @@ def test_input_quantizer_clips_out_of_range():
     q = InputQuantizer(clip_lo=np.array([0.0]), clip_hi=np.array([1.0]))
     assert q(np.array([-5.0]))[0] == -128
     assert q(np.array([5.0]))[0] == 127
+    # a huge finite value saturates, with no overflow in the divide over a narrow clip span
+    narrow = InputQuantizer(clip_lo=np.array([0.0]), clip_hi=np.array([1e-3]))
+    assert narrow(np.array([1e308, -1e308])).tolist() == [127, -128]
 
 
 @pytest.mark.parametrize("lo", [1.0, 2.0])
