@@ -123,7 +123,8 @@ def _load_features(data_dir: str):
 
     Each split must hold an (n, FEATURE_LEN) matrix of finite, nonnegative
     magnitudes and n integer labels in 0..N_CLASSES-1. The train split must
-    hold every class at least once; the test split may lack classes.
+    hold every class at least once, and no bin of it may hold one value for
+    every beat; the test split may lack classes.
     """
     path = os.path.join(data_dir, "features.npz")
     if not os.path.exists(path):
@@ -147,6 +148,10 @@ def _load_features(data_dir: str):
             if split == "train" and len(absent):
                 raise ValueError(f"train_labels hold no beat of class {absent[0]}; "
                                  "training needs every class")
+            constant = np.flatnonzero(mags.min(axis=0) == mags.max(axis=0)) if split == "train" else []
+            if len(constant):
+                raise ValueError(f"train_mags bin {constant[0]} holds the same value for every beat; "
+                                 "a constant bin cannot be quantized")
             arrays += [mags.astype(np.float64, copy=False), labels.astype(np.int64, copy=False)]
     return tuple(arrays)
 

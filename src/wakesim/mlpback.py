@@ -62,16 +62,19 @@ class InputQuantizer:
     clip_hi: np.ndarray
 
     def __post_init__(self):
-        crossed = np.flatnonzero(~(np.asarray(self.clip_lo) < np.asarray(self.clip_hi)))
-        if len(crossed):
-            i = crossed[0]
-            raise ValueError(f"clip_lo[{i}] {self.clip_lo[i]} must be below clip_hi[{i}] {self.clip_hi[i]}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.asarray(self.clip_hi) - np.asarray(self.clip_lo)
+        bad = np.flatnonzero(~((0 < span) & (span < np.inf)))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"clip_lo[{i}] {self.clip_lo[i]} must be below clip_hi[{i}] {self.clip_hi[i]}"
+                             " by a finite span")
 
     def __call__(self, raw) -> np.ndarray:
+        # Clipped first, so unit lies in [0, 1] and the codes in [-128, 127].
         raw = np.clip(np.asarray(raw, dtype=np.float64), self.clip_lo, self.clip_hi)
         unit = (raw - self.clip_lo) / (self.clip_hi - self.clip_lo)
-        q = np.floor(unit * 255.0 + 0.5) + INPUT_ZERO_POINT
-        return np.clip(q, -128, 127).astype(np.int8)
+        return (np.floor(unit * 255.0 + 0.5) + INPUT_ZERO_POINT).astype(np.int8)
 
     def dequantize(self, q) -> np.ndarray:
         """Shared [0, 1] embedding of the int8 features; the float model's input."""
@@ -297,6 +300,8 @@ class MlpClassifier:
         self.bins = tuple(int(b) for b in bins)
         self.input_quantizer = input_quantizer
         self.model = model
+        # (matrix, the label of each of its rows) of the last matrix predict_features labelled whole.
+        self._labelled = (None, None)
 
     def quantize_input(self, mags) -> np.ndarray:
         mags = np.asarray(mags, dtype=np.float64)
@@ -307,12 +312,26 @@ class MlpClassifier:
         return pred
 
     def predict_features(self, mags, rows) -> np.ndarray:
-        """Predicted class of the given rows of a feature matrix, in one forward pass.
+        """Predicted class of the given rows of a feature matrix.
 
-        Only the classifier's own bins of those rows are gathered.
+        A label depends only on its row. So a matrix that owns its data and
+        is read-only, as features.feature_matrix returns it, is labelled whole
+        on its first call, and later calls on that same object index those
+        labels: a split streamed through several regimes runs the network
+        once. Turning writes back on for it and changing it voids these
+        labels, as it voids the feature cache. Any other matrix has only the
+        classifier's bins of the given rows gathered, on every call.
         """
         mags = np.asarray(mags, dtype=np.float64)
-        return mlp_forward(self.input_quantizer(mags[np.ix_(rows, self.bins)]), self.model)[0]
+        if mags is not self._labelled[0]:
+            if mags.flags.writeable or not mags.flags.owndata:
+                return self._labels(mags[np.ix_(rows, self.bins)])
+            self._labelled = (mags, self._labels(mags[:, self.bins]))
+        return self._labelled[1][rows]
+
+    def _labels(self, raw) -> np.ndarray:
+        """Predicted class of each row of the classifier's bins."""
+        return mlp_forward(self.input_quantizer(raw), self.model)[0]
 
 
 def fit_backend(mags, labels, ranked_bins, config: TrainConfig = TrainConfig()) -> MlpClassifier:
@@ -421,8 +440,12 @@ def load_classifier(path: str) -> MlpClassifier:
             s_feed = layers[-1].s_out if layers else INPUT_SCALE
             if layer.s_in != s_feed:
                 raise ValueError(f"{where}.s_in is {layer.s_in}, expected {s_feed}, the scale of its input")
-            if not last and not math.isfinite(layer.s_in * layer.s_w / layer.s_out):
-                raise ValueError(f"{where}: the requantize multiplier s_in * s_w / s_out is not finite")
+            # mlp_forward scales the accumulator by it in float64: |(q - zp_in) @ w| is at most
+            # 255 * 128 per input, and |bias| below 2**31.
+            if not last and not math.isfinite(layer.s_in * layer.s_w / layer.s_out
+                                              * (shape[1] * 255 * 128 + 2 ** 31)):
+                raise ValueError(f"{where}: the requantize multiplier s_in * s_w / s_out is not finite "
+                                 "over the accumulator's range")
             layers.append(layer)
         model = MlpModel(dims=tuple(dims), layers=layers)
         return MlpClassifier(bins, quantizer, model)

@@ -8,6 +8,7 @@ tests/test_acceptance.py.
 import base64
 import csv
 import json
+import math
 import os
 import re
 import shutil
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 import wakesim
 from wakesim.cli import main
 from wakesim.datapipe.beats import read_beats_csv, write_beats_csv
+from wakesim.datapipe.features import FEATURE_LEN
 from wakesim.datapipe.synthetic import synth_dataset
 
 
@@ -399,13 +401,18 @@ def _six_outputs(doc):
     ("mlp_model.json", lambda doc: doc["layers"][0].update(zp_out=100), "layers[0].zp_out is 100, expected -128"),
     ("mlp_model.json", lambda doc: doc["layers"][0].update(s_out=1e-320),
      "layers[0]: the requantize multiplier s_in * s_w / s_out is not finite"),
+    ("mlp_model.json", lambda doc: doc["layers"][1].update(s_w=1e308),
+     "layers[1]: the requantize multiplier s_in * s_w / s_out is not finite over the accumulator's range"),
+    ("mlp_model.json", lambda doc: doc["input"].update(clip_lo=[-1e308] * 32, clip_hi=[1e308] * 32),
+     "clip_lo[0] -1e+308 must be below clip_hi[0] 1e+308 by a finite span"),
 ], ids=["bayes-no-quantizers", "mlp-no-s_w", "report-other-object", "report-list", "state-garbage",
         "bayes-nan", "mlp-nan-s_w", "mlp-inf-clip", "report-minus-inf", "mlp-zero-s_out",
         "mlp-negative-s_in", "state-all-nan", "state-one-nan", "state-inf", "state-zero",
         "state-negative", "mlp-clip-crossed", "mlp-clip-equal", "bayes-repeated-bin",
         "mlp-repeated-bin", "bayes-five-classes", "bayes-three-bins", "mlp-six-outputs",
         "state-empty-sigma-table", "state-descending-sigma-table", "state-infinity-token",
-        "mlp-other-zp_in", "mlp-other-s_in", "mlp-other-zp_out", "mlp-infinite-multiplier"])
+        "mlp-other-zp_in", "mlp-other-s_in", "mlp-other-zp_out", "mlp-infinite-multiplier",
+        "mlp-overflowing-multiplier", "mlp-overflowing-clip-span"])
 def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path, artifact, content,
                                                             message):
     paths, _ = workspace
@@ -492,9 +499,11 @@ _FEATURE_MEMBERS = ("train_mags", "train_labels", "test_mags", "test_labels")
 @st.composite
 def _value_mutant(draw, arrays):
     """The feature cache's arrays with one member changed in value, so that the cache is invalid:
-    a sign, a NaN, an integer or bool dtype, another shape, or a label outside the classes."""
-    kind = draw(st.sampled_from(["sign", "nan", "dtype", "shape", "label"]))
-    name = draw(st.sampled_from([m for m in _FEATURE_MEMBERS if kind != "label" or m.endswith("labels")]))
+    a sign, a NaN, an integer or bool dtype, another shape, a label outside the classes, or one
+    constant train_mags column."""
+    kind = draw(st.sampled_from(["sign", "nan", "dtype", "shape", "label", "constant"]))
+    name = draw(st.sampled_from(["train_mags"] if kind == "constant" else
+                                [m for m in _FEATURE_MEMBERS if kind != "label" or m.endswith("labels")]))
     a = arrays[name].copy()
     mags = name.endswith("mags")
     if kind == "sign":  # a positive magnitude or label turns negative
@@ -508,8 +517,11 @@ def _value_mutant(draw, arrays):
     elif kind == "shape":
         a = draw(st.sampled_from([a[:-1], a[..., None], a[None], np.append(a, a[:1], axis=0)]
                                  + ([a[:, :-1], a.ravel(), np.hstack([a, a[:, :1]])] if mags else [])))
-    else:
+    elif kind == "label":
         a[draw(st.integers(0, len(a) - 1))] = draw(st.integers(-2 ** 62, -1) | st.integers(4, 2 ** 62))
+    else:  # every train beat takes one beat's magnitude in one bin
+        column = draw(st.integers(0, a.shape[1] - 1))
+        a[:, column] = a[draw(st.integers(0, len(a) - 1)), column]
     return {**arrays, name: a}
 
 
@@ -528,6 +540,87 @@ def test_value_mutated_feature_cache_follows_the_exit_code_contract(workspace, d
                           "--epochs", "1"])
     _assert_one_error_line(result, codes=(2, 3))
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_train_on_a_constant_train_bin_is_a_data_error_naming_the_bin(workspace, tmp_path):
+    paths, _ = workspace
+    with np.load(paths["data"] / "features.npz") as npz:
+        arrays = dict(npz)
+    np.savez(tmp_path / "features.npz", **{**arrays, "train_mags": np.zeros_like(arrays["train_mags"])})
+    result = _invoke(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m"), "--epochs", "1"])
+    _assert_one_error_line(result, codes=(3,))
+    assert f"{tmp_path / 'features.npz'}: malformed feature cache: train_mags bin 0 holds" in result.stderr
+
+
+# A huge finite value for each JSON number kind of mlp_model.json.
+_HUGE = {float: (1e307, 1e308, sys.float_info.max), int: (2 ** 63, -2 ** 63)}
+
+
+@st.composite
+def _mlp_value_mutant(draw, doc):
+    """(mutant, path) of mlp_model.json with one value changed at path: a number's sign, zero or a
+    huge finite value; one bin's clip pair swapped or spread to -h, h for a huge h; or a weight or
+    bias blob that decodes to another length."""
+    kind = draw(st.sampled_from(["sign", "zero", "huge", "clip pair", "blob"]))
+    if kind == "clip pair":
+        i = draw(st.integers(0, len(doc["input"]["bins"]) - 1))
+        lo, hi = doc["input"]["clip_lo"], doc["input"]["clip_hi"]
+        h = draw(st.sampled_from((None,) + _HUGE[float]))
+        lo[i], hi[i] = (hi[i], lo[i]) if h is None else (-h, h)
+        return doc, ("input", "clip_lo", i)
+    if kind == "blob":
+        layer = draw(st.integers(0, len(doc["layers"]) - 1))
+        key = draw(st.sampled_from(["weights", "bias"]))
+        raw = base64.b64decode(doc["layers"][layer][key])
+        n = draw(st.integers(0, 2 * len(raw)).filter(lambda n: n != len(raw)))
+        doc["layers"][layer][key] = base64.b64encode((raw * 2)[:n]).decode("ascii")
+        return doc, ("layers", layer, key)
+    path, value = draw(st.sampled_from([(p, v) for p, v in _locations(doc)
+                                        if _json_kind(v) == "number" and (v or kind != "sign")]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "huge":
+        parent[path[-1]] = draw(st.sampled_from(_HUGE[type(value)]))
+    else:
+        parent[path[-1]] = -value if kind == "sign" else type(value)(0)
+    return doc, path
+
+
+def _valid_mlp_mutant(doc, path) -> bool:
+    """Whether a one-value mutant of mlp_model.json is still a model: a bin moved to another
+    distinct bin, a clip pair still ordered with a finite span, or a positive weight scale whose
+    requantize multiplier stays finite over the accumulator's range (the last layer has none)."""
+    where, *rest = path
+    if where == "input" and rest[0] == "bins":
+        bins = doc["input"]["bins"]
+        return 0 <= bins[rest[1]] < FEATURE_LEN and bins.count(bins[rest[1]]) == 1
+    if where == "input" and rest[0] in ("clip_lo", "clip_hi"):
+        lo, hi = doc["input"]["clip_lo"][rest[1]], doc["input"]["clip_hi"][rest[1]]
+        return lo < hi and math.isfinite(hi - lo)
+    if where == "layers" and rest[1] == "s_w":
+        layer = doc["layers"][rest[0]]
+        return layer["s_w"] > 0 and (layer["s_out"] is None or math.isfinite(
+            layer["s_in"] * layer["s_w"] / layer["s_out"] * (layer["shape"][1] * 255 * 128 + 2 ** 31)))
+    return False
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_value_mutated_mlp_model_follows_the_exit_code_contract(workspace, data):
+    paths, _ = workspace
+    doc, changed = data.draw(_mlp_value_mutant(json.loads(paths["mlp"].read_text())))
+    path = paths["ws"] / "fuzz_mlp" / "mlp_model.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = _invoke(_loading(paths, "mlp_model.json", path))
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if _valid_mlp_mutant(doc, changed):
+        assert result.exit_code == 0, f"{changed}: {result.output}\n{result.exception!r}"
+    else:
+        _assert_one_error_line(result, codes=(2, 3))
 
 
 def test_cli_import_loads_no_scipy():

@@ -24,7 +24,10 @@ from wakesim.mlpback import (
     save_classifier,
     train_mlp,
 )
+from wakesim import memsim, mlpback
+from wakesim.bayesfront import IdealReader
 from wakesim.errors import TrainingDiverged
+from wakesim.wakectl import run_stream
 
 # ---------------------------------------------------------------------------
 # input quantizer
@@ -64,6 +67,22 @@ def test_input_quantizer_clips_out_of_range():
     # a huge finite value saturates, with no overflow in the divide over a narrow clip span
     narrow = InputQuantizer(clip_lo=np.array([0.0]), clip_hi=np.array([1e-3]))
     assert narrow(np.array([1e308, -1e308])).tolist() == [127, -128]
+    # Clipped first, the affine map ends at -128 and 127 by itself: the codes equal those of a
+    # final clamp to [-128, 127], at both clips, just inside both and at +-1e308.
+    for lo, hi in [(0.0, 1.0), (0.0, 1e-3), (0.25, 0.2500001), (-1e308, 0.5), (-3.0, 1e308)]:
+        q = InputQuantizer(clip_lo=np.array([lo]), clip_hi=np.array([hi]))
+        raw = np.array([lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo), 1e308, -1e308])
+        unit = (np.clip(raw, lo, hi) - lo) / (hi - lo)
+        clamped = np.clip(np.floor(unit * 255.0 + 0.5) + INPUT_ZERO_POINT, -128, 127)
+        codes = np.concatenate([q(v[None]) for v in raw])
+        assert codes.tolist() == clamped.tolist()
+        assert codes[[0, 1, 4, 5]].tolist() == [-128, 127, 127, -128]
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 1.7e308), (-np.inf, 0.0), (0.0, np.inf)])
+def test_input_quantizer_rejects_a_clip_span_that_overflows(lo, hi):
+    with pytest.raises(ValueError, match=r"clip_lo\[1\] .* must be below clip_hi\[1\] .* by a finite span"):
+        InputQuantizer(clip_lo=np.array([0.0, lo]), clip_hi=np.array([1.0, hi]))
 
 
 @pytest.mark.parametrize("lo", [1.0, 2.0])
@@ -394,3 +413,63 @@ def test_predict_features_labels_the_given_rows_of_the_matrix(bench_backend, ben
     assert got.tolist() == whole[rows].tolist()
     assert got.tolist() == bench_backend.predict_features(mags[rows], np.arange(len(rows))).tolist()
     assert len(set(whole[rows].tolist())) > 1
+    # The cached split's labels (read-only, owns its data) equal the gather path of a
+    # writable copy, for unsorted, repeated and empty rows.
+    writable = mags.copy()
+    for more in ([3199, 2, 2, 2, 801, 1600, 0, 3199], np.array([], dtype=np.int64), []):
+        memo = bench_backend.predict_features(mags, more)
+        gathered = bench_backend.predict_features(writable, more)
+        assert memo.dtype == gathered.dtype
+        assert memo.tolist() == gathered.tolist() == whole[np.asarray(more, dtype=np.int64)].tolist()
+
+
+def _forward_rows(monkeypatch):
+    """Patch mlpback.mlp_forward to record the row count of each call; returns that list."""
+    calls = []
+
+    def counted(q_inputs, model):
+        calls.append(len(q_inputs))
+        return mlp_forward(q_inputs, model)
+
+    monkeypatch.setattr(mlpback, "mlp_forward", counted)
+    return calls
+
+
+def test_a_split_streamed_again_is_labelled_once(tmp_path, monkeypatch, bench_dataset, bench_model,
+                                                 bench_backend):
+    path = tmp_path / "mlp.json"
+    save_classifier(path, bench_backend)
+
+    def reader(name):
+        if name == "ideal":
+            return IdealReader(bench_model)
+        op, dists, noise = memsim.regime_preset(name)
+        state = memsim.program_arrays(bench_model, dists, op.vddr, seed=5)
+        return memsim.MemristorReader(state, op, noise, seed=7)
+
+    regimes = ("ideal", "A", "B", "C")
+    split = bench_dataset.test
+    fresh = [run_stream(split, bench_model, reader(name), load_classifier(path)) for name in regimes]
+    calls = _forward_rows(monkeypatch)
+    clf = load_classifier(path)
+    again = [run_stream(split, bench_model, reader(name), clf) for name in regimes]
+    assert again == fresh
+    assert calls == [len(split)]
+    assert sum(int((r.reason != 0).sum()) for r in again) > len(split)
+
+
+def test_a_writable_matrix_or_a_view_is_labelled_anew_on_every_call(monkeypatch, bench_backend, bench_test):
+    mags, labels = bench_test
+    normal, abnormal = np.flatnonzero(labels == 0)[:5], np.flatnonzero(labels == 2)[:5]
+    assert bench_backend.predict_features(mags, abnormal).tolist() == [2] * 5
+    calls = _forward_rows(monkeypatch)
+    for view in (False, True):
+        base = mags.copy()
+        matrix = base[:] if view else base
+        matrix.flags.writeable = not view
+        before = bench_backend.predict_features(matrix, normal)
+        base[normal] = mags[abnormal]
+        after = bench_backend.predict_features(matrix, normal)
+        assert before.tolist() == [0] * 5
+        assert after.tolist() == [2] * 5
+    assert calls == [len(normal)] * 4  # only the requested rows, every time
