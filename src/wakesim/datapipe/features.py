@@ -47,8 +47,9 @@ def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
     blocks of at most FFT_CHUNK records, and each record then caches its row
     of the new matrix as (mags, row index), replacing any earlier entry.
     `mags` owns its data and is read-only, so the cache cannot be written
-    through it, and mlpback.MlpClassifier.predict_features labels it whole
-    once. Turning writes back on and changing it voids both caches.
+    through it, and mlpback.MlpClassifier.predict_features labels each of
+    its rows at most once. Turning writes back on and changing it voids both
+    caches.
     """
     beats = list(beats)
     labels = np.array([beat.label for beat in beats], dtype=np.int64)

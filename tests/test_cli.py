@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import wakesim
 from wakesim.cli import main
 from wakesim.datapipe.beats import read_beats_csv, write_beats_csv
-from wakesim.datapipe.features import FEATURE_LEN
+from wakesim.datapipe.features import FEATURE_LEN, chi2_rank
 from wakesim.datapipe.synthetic import synth_dataset
 
 
@@ -499,8 +499,8 @@ _FEATURE_MEMBERS = ("train_mags", "train_labels", "test_mags", "test_labels")
 @st.composite
 def _value_mutant(draw, arrays):
     """The feature cache's arrays with one member changed in value, so that the cache is invalid:
-    a sign, a NaN, an integer or bool dtype, another shape, a label outside the classes, or one
-    constant train_mags column."""
+    a sign, a NaN, an integer or bool dtype, another shape, a label outside the classes, or
+    train_mags whose bins each hold one value, so the front end's bins are constant."""
     kind = draw(st.sampled_from(["sign", "nan", "dtype", "shape", "label", "constant"]))
     name = draw(st.sampled_from(["train_mags"] if kind == "constant" else
                                 [m for m in _FEATURE_MEMBERS if kind != "label" or m.endswith("labels")]))
@@ -519,9 +519,8 @@ def _value_mutant(draw, arrays):
                                  + ([a[:, :-1], a.ravel(), np.hstack([a, a[:, :1]])] if mags else [])))
     elif kind == "label":
         a[draw(st.integers(0, len(a) - 1))] = draw(st.integers(-2 ** 62, -1) | st.integers(4, 2 ** 62))
-    else:  # every train beat takes one beat's magnitude in one bin
-        column = draw(st.integers(0, a.shape[1] - 1))
-        a[:, column] = a[draw(st.integers(0, len(a) - 1)), column]
+    else:  # every train beat takes one beat's magnitudes
+        a[:] = a[draw(st.integers(0, len(a) - 1))]
     return {**arrays, name: a}
 
 
@@ -550,6 +549,19 @@ def test_train_on_a_constant_train_bin_is_a_data_error_naming_the_bin(workspace,
     result = _invoke(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m"), "--epochs", "1"])
     _assert_one_error_line(result, codes=(3,))
     assert f"{tmp_path / 'features.npz'}: malformed feature cache: train_mags bin 0 holds" in result.stderr
+
+
+def test_train_on_one_constant_train_bin_outside_the_front_end_trains(workspace, tmp_path):
+    """A flat bin scores 0 and ranks last, so neither the front end nor the back end takes it."""
+    paths, _ = workspace
+    with np.load(paths["data"] / "features.npz") as npz:
+        arrays = dict(npz)
+    top = chi2_rank(arrays["train_mags"], arrays["train_labels"])[0][0]
+    arrays["train_mags"][:, top] = arrays["train_mags"][0, top]
+    np.savez(tmp_path / "features.npz", **arrays)
+    _ok(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m"), "--epochs", "1"])
+    assert top not in json.loads((tmp_path / "m" / "bayes_model.json").read_text())["feature_bins"]
+    assert top not in json.loads((tmp_path / "m" / "mlp_model.json").read_text())["input"]["bins"]
 
 
 # A huge finite value for each JSON number kind of mlp_model.json.

@@ -435,8 +435,8 @@ def _forward_rows(monkeypatch):
     return calls
 
 
-def test_a_split_streamed_again_is_labelled_once(tmp_path, monkeypatch, bench_dataset, bench_model,
-                                                 bench_backend):
+def test_a_split_streamed_again_labels_each_row_at_most_once(tmp_path, monkeypatch, bench_dataset,
+                                                             bench_model, bench_backend):
     path = tmp_path / "mlp.json"
     save_classifier(path, bench_backend)
 
@@ -450,26 +450,36 @@ def test_a_split_streamed_again_is_labelled_once(tmp_path, monkeypatch, bench_da
     regimes = ("ideal", "A", "B", "C")
     split = bench_dataset.test
     fresh = [run_stream(split, bench_model, reader(name), load_classifier(path)) for name in regimes]
+    woken = [np.flatnonzero(r.reason) for r in fresh]
     calls = _forward_rows(monkeypatch)
     clf = load_classifier(path)
     again = [run_stream(split, bench_model, reader(name), clf) for name in regimes]
     assert again == fresh
-    assert calls == [len(split)]
-    assert sum(int((r.reason != 0).sum()) for r in again) > len(split)
+    # The first stream runs exactly its woken rows; each later one only the rows no stream woke yet.
+    new = [len(np.setdiff1d(w, np.concatenate([w[:0], *woken[:i]]))) for i, w in enumerate(woken)]
+    assert calls == [n for n in new if n]
+    assert calls[0] == len(woken[0]) < len(split)
+    assert sum(calls) == len(np.unique(np.concatenate(woken))) < sum(map(len, woken))
+    calls.clear()
+    assert [run_stream(split, bench_model, reader(name), clf) for name in regimes] == fresh
+    assert calls == []
 
 
-def test_a_writable_matrix_or_a_view_is_labelled_anew_on_every_call(monkeypatch, bench_backend, bench_test):
+def test_a_matrix_that_can_change_is_labelled_anew_on_every_call(monkeypatch, bench_backend, bench_test):
+    """A writable matrix, a read-only view of a writable array, and a read-only matrix whose writes
+    are turned back on after its labels were kept."""
     mags, labels = bench_test
     normal, abnormal = np.flatnonzero(labels == 0)[:5], np.flatnonzero(labels == 2)[:5]
     assert bench_backend.predict_features(mags, abnormal).tolist() == [2] * 5
     calls = _forward_rows(monkeypatch)
-    for view in (False, True):
+    for kind in ("writable", "view", "writes turned back on"):
         base = mags.copy()
-        matrix = base[:] if view else base
-        matrix.flags.writeable = not view
+        matrix = base[:] if kind == "view" else base
+        matrix.flags.writeable = kind == "writable"
         before = bench_backend.predict_features(matrix, normal)
+        base.flags.writeable = True
         base[normal] = mags[abnormal]
         after = bench_backend.predict_features(matrix, normal)
         assert before.tolist() == [0] * 5
         assert after.tolist() == [2] * 5
-    assert calls == [len(normal)] * 4  # only the requested rows, every time
+    assert calls == [len(normal)] * 6  # only the requested rows, every time
