@@ -42,8 +42,12 @@ class LogCodec:
     def __post_init__(self):
         if not 0.0 < self.base < 1.0:
             raise ValueError("base must lie strictly between 0 and 1")
-        if self.scale < 1 or self.width < 1:
-            raise ValueError("scale and width must be positive")
+        # Up to 2**53 a scale is exact as a float, and the invalid threshold
+        # stays finite for every base in (0, 1).
+        if not 1 <= self.scale <= 2**53:
+            raise ValueError(f"scale {self.scale} is outside 1..2**53")
+        if self.width < 1:
+            raise ValueError("width must be positive")
         if self.width > 8:
             raise ValueError("width must be at most 8: codes are stored as 8-bit words")
 
@@ -178,7 +182,8 @@ class IdealReader:
         return int(self._codes[word_address(self._shape, class_id, feature, level)])
 
     def read_many(self, class_ids, features, levels) -> np.ndarray:
-        return self._codes[word_addresses(self._shape, class_ids, features, levels)]
+        """Stored codes of a read sequence: the address arrays broadcast together, flattened in C order."""
+        return self._codes[word_addresses(self._shape, class_ids, features, levels).ravel()]
 
 
 def fit_bayes_model(mags, labels, ranked_bins, codec: LogCodec = LogCodec()) -> BayesModel:
@@ -235,19 +240,23 @@ class ScoreBatch:
 def bayes_infer_many(levels, model: BayesModel, reader) -> ScoreBatch:
     """bayes_infer over a (n_beats, n_features) level matrix in one pass.
 
-    The reader must offer read_many(class_ids, features, levels) -> codes.
-    Words are requested in the order a per-beat bayes_infer loop reads them
-    (beat, then class, then feature), so a reader whose noise depends on
+    The reader must offer read_many(class_ids, features, levels) -> codes,
+    which takes (beat, class, feature) views and reads them flattened in C
+    order: the order a per-beat bayes_infer loop reads its words (beat,
+    then class, then feature), so a reader whose noise depends on
     per-address read order returns the same words either way.
     """
     levels = np.asarray(levels, dtype=np.int64)
     n_beats, n_features = levels.shape
     shape = (n_beats, N_CLASSES, n_features)
-    class_ids = np.broadcast_to(np.arange(N_CLASSES)[None, :, None], shape)
-    features = np.broadcast_to(np.arange(n_features)[None, None, :], shape)
-    words = reader.read_many(class_ids.ravel(), features.ravel(),
-                             np.broadcast_to(levels[:, None, :], shape).ravel())
-    return _decide(np.asarray(words, dtype=np.int64).reshape(shape).sum(axis=2), model)
+    words = reader.read_many(np.broadcast_to(np.arange(N_CLASSES)[None, :, None], shape),
+                             np.broadcast_to(np.arange(n_features)[None, None, :], shape),
+                             np.broadcast_to(levels[:, None, :], shape))
+    words = np.asarray(words, dtype=np.int64).reshape(shape)
+    scores = np.zeros((n_beats, N_CLASSES), dtype=np.int64)
+    for f in range(n_features):
+        scores += words[:, :, f]
+    return _decide(scores, model)
 
 
 def _decide(scores: np.ndarray, model: BayesModel) -> ScoreBatch:

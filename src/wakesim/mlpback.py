@@ -204,6 +204,19 @@ class MlpModel:
     float_ref: MlpFloat | None = None
 
 
+def _check_logit_range(bias: np.ndarray, in_dim: int, what: str) -> None:
+    """Raise ValueError unless every final-layer logit fits int32.
+
+    A logit is the bias plus (q - zp_in) @ w over in_dim inputs, each term
+    at most 255 * 128 in magnitude; mlp_forward's int32 store would wrap a
+    sum past the int32 range silently.
+    """
+    peak = int(np.abs(np.asarray(bias, dtype=np.int64)).max(initial=0)) + in_dim * 255 * 128
+    if peak > np.iinfo(np.int32).max:
+        raise ValueError(f"{what}: |bias| + {in_dim} * 255 * 128 = {peak} exceeds int32, "
+                         "so a logit could wrap")
+
+
 def _weight_scale(w: np.ndarray) -> float:
     peak = float(np.abs(w).max())
     return peak / 127.0 if peak > 0 else 1.0
@@ -213,7 +226,8 @@ def quantize_mlp(model: MlpFloat, calibration: np.ndarray) -> MlpModel:
     """Post-training quantization against a calibration batch.
 
     Weights: symmetric per-tensor int8 (scale = max|w| / 127; an all-zero
-    tensor gets scale 1). Biases: int32 at the combined input*weight scale.
+    tensor gets scale 1). Biases: int32 at the combined input*weight scale;
+    a final-layer bias that would let a logit leave int32 raises ValueError.
     Hidden activations: per-tensor affine from the observed [0, max] range.
     """
     calibration = np.asarray(calibration, dtype=np.float64)
@@ -236,6 +250,7 @@ def quantize_mlp(model: MlpFloat, calibration: np.ndarray) -> MlpModel:
             layers.append(QuantLayer(w_q, b_q, s_w, s_in, zp_in, s_out, zp_out))
             s_in, zp_in = s_out, zp_out
         else:
+            _check_logit_range(b_q, w_q.shape[1], "final-layer bias")
             layers.append(QuantLayer(w_q, b_q, s_w, s_in, zp_in, None, None))
     return MlpModel(dims=model.dims, layers=layers, float_ref=model)
 
@@ -454,6 +469,8 @@ def load_classifier(path: str) -> MlpClassifier:
                                               * (shape[1] * 255 * 128 + 2 ** 31)):
                 raise ValueError(f"{where}: the requantize multiplier s_in * s_w / s_out is not finite "
                                  "over the accumulator's range")
+            if last:
+                _check_logit_range(bias, shape[1], f"{where}.bias")
             layers.append(layer)
         model = MlpModel(dims=tuple(dims), layers=layers)
         return MlpClassifier(bins, quantizer, model)

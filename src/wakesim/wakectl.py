@@ -21,6 +21,7 @@ sequence is transformed whole.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -82,6 +83,14 @@ _TRACE_ROWS = tuple(
     f"{t},{f},{int(k != 0)},{_TRACE_REASONS[k]},{s}\r\n"
     for t, f, k, s in itertools.product(range(N_CLASSES), range(N_CLASSES),
                                         range(len(REASONS)), range(N_CLASSES)))
+# "0,", "1,", ...: the beat-number field of each trace line, grown on demand.
+_TRACE_PREFIXES: list[str] = []
+
+
+def _trace_prefixes(n: int) -> list[str]:
+    """_TRACE_PREFIXES, holding at least its first n entries."""
+    _TRACE_PREFIXES.extend(f"{i}," for i in range(len(_TRACE_PREFIXES), n))
+    return _TRACE_PREFIXES
 
 
 def _empty_column(dtype=np.int64):
@@ -139,7 +148,7 @@ class StreamResult:
         return ConfusionMatrix.from_pairs(self.true, self.system)
 
     def write_trace(self, path: str) -> None:
-        """Write trace.csv: one line per beat, formatted through _TRACE_ROWS.
+        """Write trace.csv: one line per beat, joined from _TRACE_PREFIXES and _TRACE_ROWS.
 
         Raises ValueError for a column value outside its range, which would
         otherwise index the wrong line.
@@ -155,7 +164,9 @@ class StreamResult:
             + self.system
         with open(path, "w", newline="") as fh:
             fh.write("beat,true,front_pred,wake,reason,system_pred\r\n")
-            fh.write("".join(f"{i},{_TRACE_ROWS[k]}" for i, k in enumerate(keys.tolist())))
+            # map stops at the end of keys, so a longer prefix list is fine.
+            fh.write("".join(map(operator.add, _trace_prefixes(self.n),
+                                 map(_TRACE_ROWS.__getitem__, keys.tolist()))))
 
 
 def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):

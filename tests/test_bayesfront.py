@@ -79,7 +79,11 @@ def test_codec_validation():
         LogCodec(base=1.5)
     with pytest.raises(ValueError):
         LogCodec(scale=0)
+    with pytest.raises(ValueError, match="scale"):
+        LogCodec(scale=2**53 + 1)
     assert LogCodec(width=8).code_max == 255
+    # the largest scale with the base nearest 1 still has a threshold
+    assert invalid_threshold(LogCodec(base=1 - 2**-53, scale=2**53)) > 2**53
 
 
 def test_alternate_codec_round_trip():

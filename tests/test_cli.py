@@ -635,6 +635,107 @@ def test_value_mutated_mlp_model_follows_the_exit_code_contract(workspace, data)
         _assert_one_error_line(result, codes=(2, 3))
 
 
+# Huge finite values for bayes_model.json: _HUGE's, their negatives and an int past every float.
+_BAYES_HUGE = {float: _HUGE[float] + tuple(-h for h in _HUGE[float]), int: _HUGE[int] + (10**400,)}
+
+
+@st.composite
+def _bayes_value_mutant(draw, doc):
+    """(mutant, path) of bayes_model.json with one leaf changed: a number's sign, zero or a huge
+    finite value; a code outside 0..255; one quantizer's clip pair swapped; or a leaf of another
+    JSON type."""
+    kind = draw(st.sampled_from(["sign", "zero", "huge", "code", "clip pair", "type"]))
+    if kind == "clip pair":
+        i = draw(st.integers(0, len(doc["quantizers"]) - 1))
+        q = doc["quantizers"][i]
+        q["clip_lo"], q["clip_hi"] = q["clip_hi"], q["clip_lo"]
+        return doc, ("quantizers", i, "clip_lo")
+    if kind == "code":
+        i = draw(st.integers(0, len(doc["codes"]) - 1))
+        doc["codes"][i] = draw(st.integers(-2 ** 70, -1) | st.integers(256, 2 ** 70))
+        return doc, ("codes", i)
+    leaves = [(p, v) for p, v in _locations(doc) if not isinstance(v, (dict, list))]
+    if kind != "type":
+        leaves = [(p, v) for p, v in leaves if _json_kind(v) == "number" and (v or kind != "sign")]
+    path, value = draw(st.sampled_from(leaves))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "type":
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in (None, True, 7, "x", [], {}) if _json_kind(v) != _json_kind(value)]))
+    elif kind == "huge":
+        parent[path[-1]] = draw(st.sampled_from(_BAYES_HUGE[type(value)]))
+    else:
+        parent[path[-1]] = -value if kind == "sign" else type(value)(0)
+    return doc, path
+
+
+def _valid_bayes_mutant(doc, path) -> bool:
+    """Whether a one-leaf mutant of bayes_model.json is still a model: a number where the loader
+    takes one, and a code in 0..2**width - 1, a bin moved to another distinct bin, a clip pair
+    still ordered (a span that overflows to inf only puts every value on level 0), a base in
+    (0, 1), a scale in 1..2**53 (exact as a float) or a width of 1..8 that holds every code."""
+    value = doc
+    for key in path:
+        value = value[key]
+    if _json_kind(value) != "number":
+        return False
+    codec, where = doc["codec"], path[0]
+    if where == "codes":
+        return 0 <= value < 2 ** codec["width"]
+    if where == "feature_bins":
+        return 0 <= value < FEATURE_LEN and doc["feature_bins"].count(value) == 1
+    if where == "quantizers" and path[2] != "levels":
+        q = doc["quantizers"][path[1]]
+        return q["clip_lo"] < q["clip_hi"]
+    if where == "codec":
+        return {"base": 0 < value < 1, "scale": 1 <= value <= 2 ** 53,
+                "width": 1 <= value <= 8 and max(doc["codes"]) < 2 ** value}[path[1]]
+    return False  # quantizers[i].levels: every quantizer has 8
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_value_mutated_bayes_model_follows_the_exit_code_contract(workspace, data):
+    paths, _ = workspace
+    doc, changed = data.draw(_bayes_value_mutant(json.loads(paths["bayes"].read_text())))
+    path = paths["ws"] / "fuzz_bayes" / "bayes_model.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = _invoke(_loading(paths, "bayes_model.json", path))
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if _valid_bayes_mutant(doc, changed):
+        assert result.exit_code == 0, f"{changed}: {result.output}\n{result.exception!r}"
+    else:
+        _assert_one_error_line(result, codes=(2, 3))
+
+
+def test_mlp_model_whose_logit_could_wrap_is_a_data_error(workspace, tmp_path):
+    """One layer over two bins, weights [[127, 127], 0, 0, 0] and bias [2**31 - 1, 0, 0, 0]:
+    input [127, 127] would wrap class 0's int32 logit."""
+    paths, _ = workspace
+    doc = json.loads(paths["mlp"].read_text())
+    weights = np.zeros((4, 2), dtype=np.int8)
+    weights[0] = 127
+    doc["dims"] = [2, 4]
+    doc["input"].update(bins=doc["input"]["bins"][:2], clip_lo=[0.0, 0.0], clip_hi=[1.0, 1.0])
+    doc["layers"] = [{**doc["layers"][-1], "shape": [4, 2], "s_in": doc["input"]["scale"], "s_w": 1.0,
+                      "weights": base64.b64encode(weights.tobytes()).decode("ascii"),
+                      "bias": base64.b64encode(np.array([2**31 - 1, 0, 0, 0], "<i4").tobytes()).decode("ascii")}]
+    path = tmp_path / "mlp_model.json"
+    path.write_text(json.dumps(doc))
+    result = _invoke(_loading(paths, "mlp_model.json", path))
+    _assert_one_error_line(result, codes=(3,))
+    assert f"{path}: malformed mlp model: layers[0].bias: |bias| + 2 * 255 * 128" in result.stderr
+    # the same model with a zero bias runs
+    doc["layers"][0]["bias"] = base64.b64encode(np.zeros(4, "<i4").tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    _ok(_loading(paths, "mlp_model.json", path))
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(wakesim.__file__).resolve().parents[1])
     proc = subprocess.run(

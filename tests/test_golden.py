@@ -1,7 +1,7 @@
 """Byte identity of a small README walkthrough against checked-in digests.
 
-Runs prepare-data, train, program B, run --ideal, run B and sweep in
-process and compares the sha256 of every file they write with
+Runs prepare-data, train, program B and C, run --ideal, run B, run C and
+sweep in process and compares the sha256 of every file they write with
 tests/golden.json. An .npz archive is compared member by member, because
 its zip headers carry write times. On a mismatch the assertion names the
 files that differ and prints the whole new digest map, which replaces
@@ -30,12 +30,15 @@ def _walkthrough(ws: Path) -> None:
     _ok(["prepare-data", "--out", data, "--source", "synthetic", "--seed", "11",
          "--beats-per-class", "100", "--test-per-class", "100", "--noise-sigma", "0.05"])
     _ok(["train", "--data", data, "--out", model, "--seed", "3", "--epochs", "10"])
-    _ok(["program", "--model", model / "bayes_model.json", "--out", ws / "state_b.npz",
-         "--preset", "B", "--seed", "5"])
+    # C reads at vdd = 0.8 V, where many bits flip: its run covers the noisy read path.
+    for preset in ("B", "C"):
+        _ok(["program", "--model", model / "bayes_model.json", "--out", ws / f"state_{preset.lower()}.npz",
+             "--preset", preset, "--seed", "5"])
     models = ["--bayes", model / "bayes_model.json", "--mlp", model / "mlp_model.json"]
     _ok(["run", "--data", data, *models, "--ideal", "--out", ws / "run_ideal"])
-    _ok(["run", "--data", data, *models, "--array-state", ws / "state_b.npz", "--seed", "7",
-         "--out", ws / "run_b"])
+    for preset in ("b", "c"):
+        _ok(["run", "--data", data, *models, "--array-state", ws / f"state_{preset}.npz", "--seed", "7",
+             "--out", ws / f"run_{preset}"])
     _ok(["sweep", "--out", ws / "sweep.csv"])
 
 

@@ -1,5 +1,6 @@
 """Complementary-pair storage, noisy reads, and the operating-regime presets."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.stats
 
 from wakesim.bayesfront import IdealReader
 from wakesim.memsim import (
+    WORD_BITS,
     ArrayState,
     DeviceDistributions,
     MemristorReader,
@@ -17,6 +19,7 @@ from wakesim.memsim import (
     code_bits,
     load_array_state,
     margins,
+    pack_flips,
     program_arrays,
     regime_preset,
     save_array_state,
@@ -107,6 +110,15 @@ def test_code_bits_msb_first():
 def test_bits_code_inverts_code_bits():
     codes = np.arange(256, dtype=np.uint8)
     assert np.array_equal(bits_code(code_bits(codes)), codes)
+
+
+def test_pack_flips_equals_bits_code_on_every_row():
+    # all 256 MSB-first bool rows; in product order, row i spells i
+    rows = np.array(list(itertools.product((False, True), repeat=WORD_BITS)))
+    packed = pack_flips(rows)
+    assert packed.dtype == np.int64
+    assert np.array_equal(packed, bits_code(rows))
+    assert np.array_equal(packed, np.arange(256))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +422,30 @@ def _reference_words(state, reader, seed, schedule):
         flips = uniforms < reader.flip_table[address]
         words.append(int(bits_code(code_bits(state.codes[address]) ^ flips)))
     return words
+
+
+def test_read_many_equals_single_reads_over_runs_of_one_and_of_thousands(stub_model):
+    # preset C flips many bits; two addresses take more than 1000 reads each (one in a
+    # block, one spread out), and 21 others one read each, between them
+    op, dists, noise = regime_preset("C")
+    state = program_arrays(stub_model(np.arange(128).reshape(4, 4, 8)), dists, op.vddr, seed=1)
+    long_a, long_b = (1, 2, 3), (3, 0, 6)
+    others = [a for a in np.ndindex(state.codes.shape) if a not in (long_a, long_b)]
+    rng = np.random.default_rng(5)
+    singles = [others[i] for i in rng.choice(len(others), size=21, replace=False)]
+    schedule = [long_a] * 1200
+    for i in range(1001):
+        schedule.append(long_b)
+        if i % 50 == 0:
+            schedule.append(singles[i // 50])
+    schedule += [long_a] * 3
+    one, many = (MemristorReader(state, op, noise, seed=13) for _ in range(2))
+    expected = [one(*a) for a in schedule]
+    assert many.read_many(*zip(*schedule)).tolist() == expected
+    codes = [int(state.codes[a]) for a in schedule]
+    assert sum(w != c for w, c in zip(expected, codes)) > len(schedule) / 4
+    # both readers stand at the same position of every stream
+    assert [many(*a) for a in (long_a, long_b, singles[0])] == [one(*a) for a in (long_a, long_b, singles[0])]
 
 
 def test_rekeyed_reads_leak_no_position_between_addresses(stub_model):

@@ -1,6 +1,7 @@
 """Float training, post-training quantization, and integer-only inference."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wakesim.mlpback import (
     INPUT_ZERO_POINT,
     MLP_TILE,
     InputQuantizer,
+    MlpClassifier,
     MlpFloat,
     MlpModel,
     QuantLayer,
@@ -26,7 +28,7 @@ from wakesim.mlpback import (
 )
 from wakesim import memsim, mlpback
 from wakesim.bayesfront import IdealReader
-from wakesim.errors import TrainingDiverged
+from wakesim.errors import DataError, TrainingDiverged
 from wakesim.wakectl import run_stream
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,36 @@ def test_bias_overflow_is_rejected():
     model = MlpFloat(weights=[np.full((1, 4), 0.127)], biases=[np.array([1e9])])
     with pytest.raises(ValueError, match="int32"):
         quantize_mlp(model, np.zeros((2, 4)))
+
+
+def test_quantize_refuses_a_final_bias_that_lets_a_logit_wrap():
+    # b_q = rint(66310 * 255 * 127) = 2 147 449 350 fits int32 on its own, but
+    # not with the 2 * 255 * 128 two inputs can add to it
+    model = MlpFloat(weights=[np.eye(4, 2)], biases=[np.array([66310.0, 0.0, 0.0, 0.0])])
+    with pytest.raises(ValueError, match="exceeds int32"):
+        quantize_mlp(model, np.zeros((2, 2)))
+
+
+def _wrapping_classifier() -> MlpClassifier:
+    """One layer over two bins: weights [[127, 127], 0, 0, 0], bias [2**31 - 1, 0, 0, 0]."""
+    w_q = np.zeros((4, 2), dtype=np.int8)
+    w_q[0] = 127
+    layer = QuantLayer(w_q, np.array([2**31 - 1, 0, 0, 0], dtype=np.int32), 1.0, INPUT_SCALE,
+                       INPUT_ZERO_POINT, None, None)
+    return MlpClassifier([0, 1], InputQuantizer(np.zeros(2), np.ones(2)),
+                         MlpModel(dims=(2, 4), layers=[layer]))
+
+
+def test_load_refuses_a_final_bias_that_lets_a_logit_wrap(tmp_path):
+    clf = _wrapping_classifier()
+    # what the loader guards against: class 0's logit wraps negative and class 1 wins
+    pred, logits = mlp_infer(np.array([127, 127], dtype=np.int8), clf.model)
+    assert (pred, logits[0]) == (1, -2_147_418_879)
+    path = tmp_path / "mlp.json"
+    save_classifier(path, clf)
+    with pytest.raises(DataError, match=re.escape(f"{path}: malformed mlp model: layers[0].bias: "
+                                                  "|bias| + 2 * 255 * 128 = 2147548927 exceeds int32")):
+        load_classifier(path)
 
 
 def test_infer_validates_input_shape():
