@@ -28,19 +28,14 @@ class BeatRecord:
 
     A record is read-only. `samples` is a read-only float64 array that the
     record owns: an input that is a view of another array is copied, an
-    array that owns its data is adopted and made read-only. `cached_row` is
-    a slot of datapipe.features' feature_matrix, the only code that reads
-    or writes it: (matrix, i) once a call has transformed the record, row i
-    of the read-only matrix that call returned (None until then). It can be
-    cached because `samples` cannot change. Records compare and hash by
-    identity.
+    array that owns its data is adopted and made read-only. Records compare
+    and hash by identity.
     """
 
     samples: np.ndarray
     label: int
     source_id: str
     beat_index: int
-    cached_row: tuple[np.ndarray, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)

@@ -32,8 +32,7 @@ def fft_features(beat) -> np.ndarray:
 
     No window and no zero padding: the segment length is the transform
     length. Returns a float vector of length 254 (channel 0 bins first).
-    `beat` is one beat record. It always transforms the samples, and
-    neither reads nor fills the record's cache.
+    `beat` is one beat record.
     """
     return _spectra(beat.samples[None])[0]
 
@@ -41,43 +40,18 @@ def fft_features(beat) -> np.ndarray:
 def feature_matrix(beats) -> tuple[np.ndarray, np.ndarray]:
     """fft_features of every beat record, stacked; returns (mags, labels).
 
-    `beats` is any iterable of beat records. If they are exactly the records
-    of one earlier call, in the same order, that call's matrix is returned
-    itself: no copy and no FFT. Any other sequence is transformed whole, in
-    blocks of at most FFT_CHUNK records, and each record then caches its row
-    of the new matrix as (mags, row index), replacing any earlier entry.
-    `mags` owns its data and is read-only, so the cache cannot be written
-    through it, and mlpback.MlpClassifier.predict_features labels each of
-    its rows at most once. Turning writes back on and changing it voids both
-    caches.
+    `beats` is any iterable of beat records, transformed in blocks of at
+    most FFT_CHUNK records. `mags` is read-only, so a caller may hold it
+    (wakectl.run_stream does) while passing it to code that could write.
     """
     beats = list(beats)
     labels = np.array([beat.label for beat in beats], dtype=np.int64)
-    reused = _cached_matrix(beats)
-    if reused is not None:
-        return reused, labels
     mags = np.empty((len(beats), FEATURE_LEN), dtype=np.float64)
     for start in range(0, len(beats), FFT_CHUNK):
         block = beats[start:start + FFT_CHUNK]
         mags[start:start + len(block)] = _spectra(np.stack([beat.samples for beat in block]))
     mags.flags.writeable = False
-    for i, beat in enumerate(beats):
-        object.__setattr__(beat, "cached_row", (mags, i))
     return mags, labels
-
-
-def _cached_matrix(beats) -> np.ndarray | None:
-    """The matrix whose rows are exactly the records' cached rows, in order, or None."""
-    if not beats or beats[0].cached_row is None:
-        return None
-    matrix = beats[0].cached_row[0]
-    if len(matrix) != len(beats):
-        return None
-    for i, beat in enumerate(beats):
-        cached = beat.cached_row
-        if cached is None or cached[0] is not matrix or cached[1] != i:
-            return None
-    return matrix
 
 
 def check_bins(bins, what: str) -> None:

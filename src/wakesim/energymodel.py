@@ -145,8 +145,8 @@ class RatesTable:
                     vdd, row_vddr, p_abn, p_n = (float(v) for v in row)
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: non-numeric value") from exc
-                if not (math.isfinite(vdd) and math.isfinite(row_vddr)):
-                    raise DataError(f"{path}:{lineno}: vdd and vddr must be finite")
+                if not (0 < vdd < math.inf and 0 < row_vddr < math.inf):
+                    raise DataError(f"{path}:{lineno}: vdd and vddr must be finite and positive")
                 try:
                     rates = WakeRates(p_abn, p_n)
                 except ValueError as exc:

@@ -394,12 +394,19 @@ def load_array_state(path: str) -> tuple[ArrayState, OperatingPoint, ReadErrorMo
         for name, r in (("r_bl", r_bl), ("r_blb", r_blb)):
             if not np.all(np.isfinite(r) & (r > 0)):
                 raise ValueError(f"{name} holds a resistance that is not finite and positive")
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"codes are {codes.dtype}, expected integers")
+        if not np.all((codes >= 0) & (codes <= 255)):
+            raise ValueError("codes hold a value outside 0..255")
+        seed = typed(meta["seed"], int, "meta.seed")
+        if seed < 0:
+            raise ValueError(f"meta.seed {seed} is negative")
         state = ArrayState(
             r_bl=r_bl,
             r_blb=r_blb,
             codes=codes.astype(np.uint8),
             vddr=float(typed(meta["vddr"], NUMBER, "meta.vddr")),
-            seed=typed(meta["seed"], int, "meta.seed"),
+            seed=seed,
         )
         op = OperatingPoint(vdd=float(typed(meta["vdd"], NUMBER, "meta.vdd")), vddr=state.vddr,
                             label=typed(meta.get("label", ""), str, "meta.label"))

@@ -315,9 +315,6 @@ class MlpClassifier:
         self.bins = tuple(int(b) for b in bins)
         self.input_quantizer = input_quantizer
         self.model = model
-        # (matrix, the label of each of its rows or -1 where none was asked for yet) of the
-        # last read-only matrix predict_features was given.
-        self._known = (None, None)
 
     def quantize_input(self, mags) -> np.ndarray:
         mags = np.asarray(mags, dtype=np.float64)
@@ -330,31 +327,10 @@ class MlpClassifier:
     def predict_features(self, mags, rows) -> np.ndarray:
         """Predicted class of the given rows of a feature matrix.
 
-        Only the classifier's bins of the given rows are gathered and run. A
-        label depends only on its row, so a matrix that owns its data and is
-        read-only, as features.feature_matrix returns it, keeps the label of
-        each row it was asked for, and later calls on it run only the rows not
-        yet labelled: a split streamed through several regimes runs each row
-        through the network at most once, and a split streamed once does the
-        same work as without the memo. Any other matrix, and one whose writes
-        are on, keeps nothing. Changing a matrix with writes turned back on
-        voids both caches: its rows no longer are the records' features, and
-        labels kept from before are stale once writes are turned off again.
+        Only the classifier's bins of the given rows are gathered and run.
         """
         mags = np.asarray(mags, dtype=np.float64)
-        if mags.flags.writeable or not mags.flags.owndata:
-            return self._labels(mags[np.ix_(rows, self.bins)])
-        if mags is not self._known[0]:
-            self._known = (mags, np.full(len(mags), -1, dtype=np.intp))
-        labels, rows = self._known[1], np.asarray(rows, dtype=np.intp)
-        new = np.unique(rows[labels[rows] < 0])
-        if len(new):
-            labels[new] = self._labels(mags[np.ix_(new, self.bins)])
-        return labels[rows]
-
-    def _labels(self, raw) -> np.ndarray:
-        """Predicted class of each row of the classifier's bins."""
-        return mlp_forward(self.input_quantizer(raw), self.model)[0]
+        return mlp_forward(self.input_quantizer(mags[np.ix_(rows, self.bins)]), self.model)[0]
 
 
 def fit_backend(mags, labels, ranked_bins, config: TrainConfig = TrainConfig()) -> MlpClassifier:

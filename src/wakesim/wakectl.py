@@ -11,11 +11,14 @@ over the stream's matrix and the woken row indices) and returns a
 StreamResult of per-beat columns (true, front and system labels, wake
 reason code, back-end error). The batch size cannot change a result: read
 noise is counter-based per address and the back end is row-independent.
-run_stream is run_features over beat records: datapipe.features'
-feature_matrix gives their matrix. Streaming exactly the same records again,
-in the same order, in one process (one split through several regimes) gets
-the first call's matrix back with no FFT call and no copy; any other
-sequence is transformed whole.
+run_stream is run_features over beat records, and the one owner of reuse
+for a split streamed again (one split through several regimes): a
+single-entry memo holds the last records, their read-only matrix and true
+labels, and one back end's label per row. The same record objects in the
+same order skip feature_matrix; with the same back end too, only woken rows
+not yet labelled go to predict_features. Other records replace the memo.
+The protocol: a predict_features label depends only on its row and its
+back end.
 """
 
 from __future__ import annotations
@@ -247,19 +250,49 @@ def run_features(mags, labels, model: BayesModel, reader, backend,
                 lambda i: predict_features(mags, np.array([i]))[0], policy)
 
 
+# run_stream's memo: (records, matrix, true labels, back end, its label of
+# each row or -1 where not yet asked).
+_memo: tuple = ((), None, None, None, None)
+
+
+def _once(predict_features, known: np.ndarray):
+    """predict_features over rows, asking only for those whose `known` label is -1, each once."""
+    def predict(mags, rows):
+        rows = np.asarray(rows, dtype=np.intp)
+        new = np.unique(rows[known[rows] < 0])
+        if len(new):
+            labels = np.asarray(predict_features(mags, new), dtype=np.int64)
+            if labels.shape != new.shape:
+                raise ValueError(f"back end gave {labels.shape} labels for {len(new)} rows")
+            known[new] = labels
+        return known[rows]
+    return predict
+
+
 def run_stream(beats, model: BayesModel, reader, backend,
                policy: WakePolicy = WakePolicy()) -> StreamResult:
     """run_features over beat records, with a per-beat back-end fallback.
 
     `beats` may be any iterable of beat records; their matrix comes from
-    features.feature_matrix. The one difference from run_features: a back
-    end without predict_features, or whose predict_features raises, labels
-    each woken beat through backend.predict(beat, mags). The outcomes are
-    the same as beat by beat.
+    features.feature_matrix, or from the memo (see the module docstring)
+    when they are the records of the last stream. A back end without
+    predict_features, or whose predict_features raises, labels each woken
+    beat through backend.predict(beat, mags), and none of its labels are
+    kept. The outcomes are the same as beat by beat.
     """
+    global _memo
     beats = list(beats)
-    mags, labels = features.feature_matrix(beats)
-    return _run(mags, labels, model, reader, getattr(backend, "predict_features", None),
+    records, mags, labels, kept_backend, known = _memo
+    if not (beats and len(beats) == len(records) and all(map(operator.is_, beats, records))):
+        mags, labels = features.feature_matrix(beats)
+        kept_backend = known = None
+    predict_features = getattr(backend, "predict_features", None)
+    if predict_features is not None:
+        if backend is not kept_backend:
+            kept_backend, known = backend, np.full(len(beats), -1, dtype=np.int64)
+        predict_features = _once(predict_features, known)
+    _memo = beats, mags, labels, kept_backend, known
+    return _run(mags, labels.copy(), model, reader, predict_features,
                 lambda i: backend.predict(beats[i], mags[i]), policy)
 
 

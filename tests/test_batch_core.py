@@ -1,12 +1,12 @@
 """The batch stream core against the per-beat, per-read reference paths.
 
 run_features and run_stream run a whole stream as one batch: one FFT call
-per FFT_CHUNK records (feature_matrix, which run_stream calls, and which
-returns the earlier matrix itself for exactly one earlier call's records
-in the same order), one read_many for the stream, one
-predict_features call over the stream's matrix and its woken rows, and a
-StreamResult of per-beat columns. Every test here pins a batched step to
-the scalar API it replaces, which stays public: fft_features,
+per FFT_CHUNK records (feature_matrix, which run_stream calls unless its
+memo holds the same records in the same order), one read_many for the
+stream, one predict_features call over the stream's matrix and its woken
+rows (with run_stream's memo, only the rows its back end has not labelled
+yet), and a StreamResult of per-beat columns. Every test here pins a
+batched step to the scalar API it replaces, which stays public: fft_features,
 MemristorReader(c, f, l), bayes_infer, decide_wake, mlp_infer and
 backend.predict(beat, mags). bayes_infer and decide_wake run the batch
 core's decision and wake rules, so those rules are also pinned to the
@@ -76,7 +76,7 @@ def _preset_reader(model, name, seed=READ_SEED):
 
 
 def _fresh(beats):
-    """Copies of the records that hold no cached feature row."""
+    """New record objects over the same samples, so no earlier stream's memo holds them."""
     return [BeatRecord(b.samples, b.label, b.source_id, b.beat_index) for b in beats]
 
 
@@ -96,79 +96,82 @@ def _counting_spectra(monkeypatch):
     return calls
 
 
-def _cached_rows(beats) -> np.ndarray:
-    """The feature rows the records cache, stacked."""
-    return np.stack([b.cached_row[0][b.cached_row[1]] for b in beats])
+def _counting_matrices(monkeypatch):
+    """The records of every features.feature_matrix call from here on, one list per call.
+
+    run_stream calls feature_matrix through its module, so a patch of the
+    module attribute (as the bench tracer makes) sees every stream.
+    """
+    calls = []
+    matrix = features.feature_matrix
+    monkeypatch.setattr(features, "feature_matrix", lambda beats: calls.append(list(beats)) or matrix(calls[-1]))
+    return calls
 
 
-def test_feature_matrix_transforms_a_partly_cached_sequence_whole_and_recaches_it(bench_dataset,
-                                                                                  monkeypatch):
-    beats = _fresh(bench_dataset.test[:3 * FFT_CHUNK + 7])
+def _same_records(a, b) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def test_feature_matrix_transforms_a_partly_cached_sequence_whole_and_recaches_it(
+        bench_dataset, bench_model, bench_backend, monkeypatch):
+    beats = _fresh(bench_dataset.test[::4][:3 * FFT_CHUNK + 7])  # stride to mix classes
     reference = np.stack([fft_features(b) for b in beats])
-    first, _ = feature_matrix(beats[::3])  # caches every third record
-    cached = [b.cached_row for b in beats]
+    reader = IdealReader(bench_model)
+    run_stream(beats[::3], bench_model, reader, bench_backend)  # the memo holds every third record
     calls = _counting_spectra(monkeypatch)
-    # records cached by another call and uncached ones mixed, fed through a generator
-    mags, labels = feature_matrix(b for b in beats)
+    backend = _CountingBackend(bench_backend)
+    # records the memo holds and others mixed, fed through a generator
+    first = run_stream((b for b in beats), bench_model, reader, backend)
+    assert calls == [FFT_CHUNK, FFT_CHUNK, FFT_CHUNK, 7]  # every record, held or not
+    [(mags, _)] = backend.calls
     assert np.array_equal(mags, reference)
-    assert labels.tolist() == [b.label for b in beats]
-    assert calls == [FFT_CHUNK, FFT_CHUNK, FFT_CHUNK, 7]  # every record, cached or not
-    assert all((row is None) == (i % 3 != 0) for i, row in enumerate(cached))
-    assert all(b.cached_row is not row for b, row in zip(beats[::3], cached[::3]))  # replaced
-    assert all(b.cached_row[0] is mags and b.cached_row[1] == i for i, b in enumerate(beats))
-    assert np.array_equal(_cached_rows(beats), reference)
-    assert np.array_equal(first, reference[::3])  # the earlier call's matrix is left as it was
+    assert first.true.tolist() == [b.label for b in beats]
+    # the memo now holds the whole sequence
+    assert run_stream(beats, bench_model, reader, backend) == first
+    assert calls == [FFT_CHUNK, FFT_CHUNK, FFT_CHUNK, 7]
 
 
-def test_feature_matrix_returns_a_read_only_matrix(bench_dataset):
-    beats = _fresh(bench_dataset.test[:FFT_CHUNK + 9])
+def test_feature_matrix_returns_a_read_only_matrix(bench_dataset, bench_model, bench_backend):
+    beats = _fresh(bench_dataset.test[::12])  # class-major order, so stride to mix classes
     reference = np.stack([fft_features(b) for b in beats])
-    partial, _ = feature_matrix(beats[::2])
-    transformed, _ = feature_matrix(beats)
-    reused, _ = feature_matrix(beats)
-    assert reused is transformed
-    for mags in (partial, transformed):
+    first, _ = feature_matrix(beats)
+    again, _ = feature_matrix(beats)
+    assert again is not first and not np.shares_memory(again, first)  # feature_matrix keeps nothing
+    backend = _CountingBackend(bench_backend)
+    run_stream(beats, bench_model, IdealReader(bench_model), backend)
+    [(held, _)] = backend.calls  # the matrix run_stream's memo holds
+    for mags in (first, again, held):
         with pytest.raises(ValueError, match="read-only"):
             mags[:] = -1.0
-    matrix, i = beats[0].cached_row
-    with pytest.raises(ValueError, match="read-only"):
-        matrix[i, 0] = -1.0
-    assert np.array_equal(transformed, reference) and np.array_equal(partial, reference[::2])
-    assert np.array_equal(_cached_rows(beats), reference)
+        assert np.array_equal(mags, reference)
 
 
-def test_feature_matrix_of_one_calls_records_in_order_is_that_calls_matrix(bench_dataset,
-                                                                            monkeypatch):
-    beats = _fresh(bench_dataset.test[:FFT_CHUNK + 9])
-    others = _fresh(bench_dataset.test[-len(beats):])  # another call's records, as many
-    # any other sequence of cached records is transformed whole into a fresh matrix
+def test_a_stream_of_the_last_streams_records_in_order_reuses_its_matrix(
+        bench_dataset, bench_model, bench_backend, monkeypatch):
+    beats = _fresh(bench_dataset.test[::12])
+    # any sequence that is not those record objects in that order is transformed whole
     variants = {
         "reversed": beats[::-1],
         "prefix": beats[:-1],
         "repeated": beats[:-1] + beats[-2:-1],
-        "two calls": beats[:FFT_CHUNK] + others[FFT_CHUNK:],
+        "new records, same samples": _fresh(beats),
     }
-    references = {name: np.stack([fft_features(b) for b in v]) for name, v in variants.items()}
-    first, labels = feature_matrix(beats)
-    reference = first.copy()
-    feature_matrix(others)
-    calls = _counting_spectra(monkeypatch)
-    again, again_labels = feature_matrix(b for b in beats)
-    assert again is first and calls == []
-    assert again_labels.tolist() == labels.tolist() == [b.label for b in beats]
-    with pytest.raises(ValueError, match="read-only"):
-        again[0, 0] = -1.0
+    calls = _counting_matrices(monkeypatch)
     for name, variant in variants.items():
         calls.clear()
-        mags, variant_labels = feature_matrix(variant)
-        assert mags is not first and not np.shares_memory(mags, first), name
-        assert np.array_equal(mags, references[name]), name
-        assert variant_labels.tolist() == [b.label for b in variant], name
-        assert sum(calls) == len(variant) and max(calls) <= FFT_CHUNK, name
-        # each record re-caches on the new matrix; a repeated record keeps its last row
-        assert all(b.cached_row[0] is mags and variant[b.cached_row[1]] is b for b in variant), name
-    assert np.array_equal(first, reference) and not first.flags.writeable
-    assert feature_matrix(beats)[0] is not first  # its records now cache other matrices
+        backend = _CountingBackend(bench_backend)
+        first = run_stream(beats, bench_model, IdealReader(bench_model), backend)
+        again = run_stream((b for b in beats), bench_model, IdealReader(bench_model), backend)
+        assert again == first and len(calls) == 1 and _same_records(calls[0], beats), name
+        [(held, _)] = backend.calls  # the same back end: every woken row already labelled
+        other = _CountingBackend(bench_backend)
+        result = run_stream(variant, bench_model, IdealReader(bench_model), other)
+        assert len(calls) == 2 and _same_records(calls[1], variant), name
+        [(mags, rows)] = other.calls
+        assert mags is not held and not np.shares_memory(mags, held), name
+        assert np.array_equal(mags, np.stack([fft_features(b) for b in variant])), name
+        assert result.true.tolist() == [b.label for b in variant], name
+        assert rows.tolist() == np.flatnonzero(result.reason).tolist(), name
 
 
 def test_second_stream_over_the_same_beats_makes_no_fft_call(bench_dataset, bench_model,
@@ -186,32 +189,66 @@ def test_second_stream_over_the_same_beats_makes_no_fft_call(bench_dataset, benc
 
 def test_a_stream_over_another_sequence_of_streamed_records_transforms_it_whole(
         bench_dataset, bench_model, bench_backend, monkeypatch):
-    split = _fresh(bench_dataset.test[:FFT_CHUNK + 40])
-    others = _fresh(bench_dataset.test[-len(split):])
-    for beats in (split, others):
-        run_stream(beats, bench_model, _preset_reader(bench_model, "B"), bench_backend)
-    first = split[0].cached_row[0]
-    reference = first.copy()
-    # run_stream calls features.feature_matrix through the module, so a patch
-    # of the module attribute (as the bench tracer makes) sees every stream.
-    calls = []
-    matrix = features.feature_matrix
-    monkeypatch.setattr(features, "feature_matrix", lambda beats: calls.append(matrix(beats)) or calls[-1])
-    sequences = {"reversed subset": split[::-3], "two calls": split[:FFT_CHUNK] + others[FFT_CHUNK:]}
-    for name, beats in sequences.items():
-        result = run_stream(iter(beats), bench_model, _preset_reader(bench_model, "B"), bench_backend)
-        (mags, labels), = calls
+    """Other records evict the memo: the split streamed after them is transformed again, and
+    the same back end is asked again for every woken row."""
+    split = _fresh(bench_dataset.test[::12])
+    others = _fresh(bench_dataset.test[6::12])
+    sequences = [("split", split), ("reversed subset", split[::-3]),
+                 ("two streams", split[:100] + others[100:]), ("split again", split)]
+    calls = _counting_matrices(monkeypatch)
+    backend = _CountingBackend(bench_backend)
+    results = []
+    for name, beats in sequences:
         calls.clear()
-        assert labels.tolist() == [b.label for b in beats], name
-        assert mags is not first and not np.shares_memory(mags, first), name
+        backend.calls.clear()
+        result = run_stream(iter(beats), bench_model, _preset_reader(bench_model, "B"), backend)
+        assert len(calls) == 1 and _same_records(calls[0], beats), name
+        [(mags, rows)] = backend.calls
         assert np.array_equal(mags, np.stack([fft_features(b) for b in beats])), name
-        assert all(b.cached_row[0] is mags and b.cached_row[1] == i for i, b in enumerate(beats)), name
+        assert rows.tolist() == np.flatnonzero(result.reason).tolist() != [], name
+        results.append(result)
+    for (name, beats), result in zip(sequences, results):
         assert result == run_stream(_fresh(beats), bench_model, _preset_reader(bench_model, "B"),
                                     bench_backend), name
-        calls.clear()
-    assert np.array_equal(first, reference)
-    with pytest.raises(ValueError, match="read-only"):
-        first[0, 0] = -1.0
+
+
+def test_the_same_records_with_a_new_back_end_reuse_the_matrix_and_ask_for_every_woken_row(
+        bench_dataset, bench_model, bench_backend, monkeypatch):
+    split = _fresh(bench_dataset.test[::12])
+    run_stream(split, bench_model, IdealReader(bench_model), bench_backend)
+    matrices, spectra = _counting_matrices(monkeypatch), _counting_spectra(monkeypatch)
+    first, second = _CountingBackend(bench_backend), _CountingBackend(bench_backend)
+    results = []
+    # the memo keeps one back end's labels: `first` is asked again after `second`
+    for backend in (first, second, first):
+        results.append(run_stream(split, bench_model, _preset_reader(bench_model, "B"), backend))
+        mags, rows = backend.calls[-1]
+        assert rows.tolist() == np.flatnonzero(results[-1].reason).tolist() != []
+    assert matrices == [] and spectra == []
+    assert len(first.calls) == 2 and len(second.calls) == 1
+    assert first.calls[0][0] is second.calls[0][0] is first.calls[1][0]
+    assert results[0] == results[1] == results[2]
+
+
+def test_a_predict_only_back_end_keeps_no_labels(bench_dataset, bench_model, bench_backend):
+    split = _fresh(bench_dataset.test[::12])
+    asked = []
+
+    class _Asking:
+        def predict(self, beat, mags):
+            asked.append(beat)
+            return bench_backend.predict(beat, mags)
+
+    predict_only, counting = _Asking(), _CountingBackend(bench_backend)
+    results = [run_stream(split, bench_model, IdealReader(bench_model), backend)
+               for backend in (counting, predict_only, predict_only, counting)]
+    woken = np.flatnonzero(results[0].reason)
+    assert len(woken) and all(r == results[0] for r in results)
+    # the predict-only back end is asked for every woken beat on every stream
+    assert _same_records(asked, [split[i] for i in woken] * 2)
+    # and its streams leave the other back end's kept labels alone
+    [(_, rows)] = counting.calls
+    assert rows.tolist() == woken.tolist()
 
 
 def test_flip_table_equals_per_read_flip_probability(bench_model):
@@ -432,8 +469,6 @@ def test_columnar_core_equals_the_per_beat_reference(tmp_path, bench_dataset, be
 def test_stream_over_a_generator_equals_the_stream_over_the_list(bench_dataset, bench_model,
                                                                  bench_backend):
     listed, generated = (_fresh(bench_dataset.test[:FFT_CHUNK + 30]) for _ in range(2))
-    for beats in (listed, generated):
-        feature_matrix(beats[::5])  # some records hold a row of another matrix, the rest none
     from_list = run_stream(listed, bench_model, _preset_reader(bench_model, "B"), bench_backend)
     from_generator = run_stream((b for b in generated), bench_model,
                                 _preset_reader(bench_model, "B"), bench_backend)
@@ -506,18 +541,21 @@ def test_a_stream_makes_one_read_many_call_and_one_backend_call(bench_test, benc
 def test_the_back_end_gets_the_stream_matrix_and_the_woken_rows(bench_dataset, bench_model,
                                                                   bench_backend):
     beats = _fresh(bench_dataset.test[::8])  # class-major order, so stride to mix classes
-    mags, labels = feature_matrix(beats)
-    for name, stream in (("run_features", lambda backend: run_features(
-                              mags, labels, bench_model, IdealReader(bench_model), backend)),
-                         ("run_stream", lambda backend: run_stream(
-                              beats, bench_model, IdealReader(bench_model), backend))):
+    labels = np.array([b.label for b in beats])
+    held = []
+    for name, stream in (("run_stream", lambda backend: run_stream(
+                              beats, bench_model, IdealReader(bench_model), backend)),
+                         ("run_features", lambda backend: run_features(
+                              held[0], labels, bench_model, IdealReader(bench_model), backend))):
         backend = _CountingBackend(bench_backend)
         result = stream(backend)
         [(got, rows)] = backend.calls
-        assert got is mags, name  # the matrix itself, not a copy of the woken rows
+        held.append(got)
         assert rows.tolist() == np.flatnonzero(result.reason).tolist() == \
             np.flatnonzero(labels).tolist(), name
         assert result.backend_errors == 0 and result.system.tolist() == labels.tolist(), name
+    assert np.array_equal(held[0], feature_matrix(beats)[0])
+    assert held[1] is held[0]  # the matrix itself, not a copy of the woken rows
 
 
 class _RowFlakyBackend:

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import wakesim
 from wakesim.cli import main
+from wakesim.data import default_rates_fixture
 from wakesim.datapipe.beats import read_beats_csv, write_beats_csv
 from wakesim.datapipe.features import FEATURE_LEN, chi2_rank
 from wakesim.datapipe.synthetic import synth_dataset
@@ -212,6 +213,17 @@ def test_sweep_without_a_successful_point_names_the_cause(workspace):
     _assert_one_error_line(result, codes=(3,))
     assert result.stderr == ("wakesim: error: data: no successful sweep points at t_s=0.002: "
                              "no wake rates tabulated at vdd=1.05\n")
+
+
+@pytest.mark.parametrize("rows, line", [("1.0,2.4,1.0,0.1\n0.0,2.4,1.0,0.1\n", 3),
+                                        ("-1.0,2.4,1.0,0.1\n", 2)])
+def test_sweep_on_a_rates_row_without_a_positive_vdd_names_the_line(workspace, tmp_path, rows, line):
+    paths, _ = workspace
+    rates = tmp_path / "rates.csv"
+    rates.write_text("vdd,vddr,p_wake_abn,p_wake_n\n" + rows)
+    result = _invoke(["sweep", "--rates", str(rates), "--out", str(tmp_path / "sweep.csv")])
+    _assert_one_error_line(result, codes=(3,))
+    assert result.stderr == f"wakesim: error: data: {rates}:{line}: vdd and vddr must be finite and positive\n"
 
 
 def test_sweep_rejects_bad_grid(workspace):
@@ -405,6 +417,9 @@ def _six_outputs(doc):
      "layers[1]: the requantize multiplier s_in * s_w / s_out is not finite over the accumulator's range"),
     ("mlp_model.json", lambda doc: doc["input"].update(clip_lo=[-1e308] * 32, clip_hi=[1e308] * 32),
      "clip_lo[0] -1e+308 must be below clip_hi[0] 1e+308 by a finite span"),
+    ("state.npz", lambda arrays: arrays.update(codes=arrays["codes"].astype(np.int64) + 256),
+     "codes hold a value outside 0..255"),
+    ("state.npz", _meta("seed", -5), "meta.seed -5 is negative"),
 ], ids=["bayes-no-quantizers", "mlp-no-s_w", "report-other-object", "report-list", "state-garbage",
         "bayes-nan", "mlp-nan-s_w", "mlp-inf-clip", "report-minus-inf", "mlp-zero-s_out",
         "mlp-negative-s_in", "state-all-nan", "state-one-nan", "state-inf", "state-zero",
@@ -412,7 +427,8 @@ def _six_outputs(doc):
         "mlp-repeated-bin", "bayes-five-classes", "bayes-three-bins", "mlp-six-outputs",
         "state-empty-sigma-table", "state-descending-sigma-table", "state-infinity-token",
         "mlp-other-zp_in", "mlp-other-s_in", "mlp-other-zp_out", "mlp-infinite-multiplier",
-        "mlp-overflowing-multiplier", "mlp-overflowing-clip-span"])
+        "mlp-overflowing-multiplier", "mlp-overflowing-clip-span", "state-wrapped-codes",
+        "state-negative-seed"])
 def test_malformed_artifact_is_a_data_error_naming_the_file(workspace, tmp_path, artifact, content,
                                                             message):
     paths, _ = workspace
@@ -709,6 +725,163 @@ def test_value_mutated_bayes_model_follows_the_exit_code_contract(workspace, dat
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if _valid_bayes_mutant(doc, changed):
         assert result.exit_code == 0, f"{changed}: {result.output}\n{result.exception!r}"
+    else:
+        _assert_one_error_line(result, codes=(2, 3))
+
+
+_STATE_MEMBERS = ("r_bl", "r_blb", "codes")
+
+
+@st.composite
+def _state_value_mutant(draw, arrays):
+    """(mutant, what) of state.npz's arrays with one member or one meta leaf changed in value: a
+    member's sign, zero, NaN, an integer outside 0..255, another dtype or another shape; or a meta
+    number's sign, zero or a huge finite value, or a meta leaf of another JSON type."""
+    kind = draw(st.sampled_from(["sign", "zero", "nan", "range", "dtype", "shape", "meta"]))
+    if kind == "meta":
+        meta = json.loads(str(arrays["meta"]))
+        how = draw(st.sampled_from(["sign", "zero", "huge", "type"]))
+        leaves = [(p, v) for p, v in _locations(meta) if not isinstance(v, (dict, list))
+                  and (how == "type" or _json_kind(v) == "number" and (v or how != "sign"))]
+        path, value = draw(st.sampled_from(leaves))
+        parent = meta
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "type":
+            parent[path[-1]] = draw(st.sampled_from(
+                [v for v in (None, True, 7, "x", [], {}) if _json_kind(v) != _json_kind(value)]))
+        elif how == "huge":
+            parent[path[-1]] = draw(st.sampled_from(_BAYES_HUGE[type(value)]))
+        else:
+            parent[path[-1]] = -value if how == "sign" else type(value)(0)
+        return {**arrays, "meta": np.array(json.dumps(meta))}, ("meta",) + path
+    name = draw(st.sampled_from(_STATE_MEMBERS))
+    a = arrays[name].copy()
+    if kind == "sign":
+        a = a.astype(np.int64) if name == "codes" else a
+        a.flat[draw(st.sampled_from(np.flatnonzero(a > 0).tolist()))] *= -1
+    elif kind == "zero":
+        a.flat[draw(st.integers(0, a.size - 1))] = 0
+    elif kind == "nan":
+        a = a.astype(np.float64)
+        a.flat[draw(st.integers(0, a.size - 1))] = np.nan
+    elif kind == "range":
+        a = a.astype(np.int64)
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.integers(-2 ** 62, -1) | st.integers(256, 2 ** 62))
+    elif kind == "dtype":
+        a = a.astype(draw(st.sampled_from([np.int64, np.int16, np.uint16, np.float32, np.float64,
+                                           np.bool_])))
+    else:
+        a = draw(st.sampled_from([a[:-1], a[..., None], a[None], a.ravel(), np.append(a, a[:1], axis=0)]))
+    return {**arrays, name: a}, (name,)
+
+
+def _valid_state_mutant(mutant, source, what) -> bool:
+    """Whether a one-value mutant of state.npz is still the workspace's array state: resistances of
+    the same shape, every one finite and positive (any real dtype); integer codes of the same shape
+    equal to the model's table; a meta vdd and vddr inside memsim's ranges, an integer seed >= 0, a
+    string label, and a sigma_n table of number pairs, x strictly increasing, sigma >= 0 and
+    nonincreasing."""
+    name = what[0]
+    if name != "meta":
+        a = mutant[name]
+        if a.shape != source[name].shape:
+            return False
+        if name == "codes":
+            return a.dtype.kind in "iu" and np.array_equal(a, source["codes"])
+        return bool(np.all(np.isfinite(a) & (a > 0)))
+    meta = json.loads(str(mutant["meta"]))
+
+    def number(v):
+        return _json_kind(v) == "number"
+
+    table = meta["sigma_n_table"]
+    if what[1] == "sigma_n_table":
+        if not all(number(v) and math.isfinite(v) for pair in table for v in pair):
+            return False
+        xs, sigmas = [x for x, _ in table], [s for _, s in table]
+        return all(a < b for a, b in zip(xs, xs[1:])) and min(sigmas) >= 0 and \
+            all(a >= b for a, b in zip(sigmas, sigmas[1:]))
+    value = meta[what[1]]
+    return {"vdd": lambda: number(value) and 0.5 <= value <= 1.4,
+            "vddr": lambda: number(value) and 1.0 <= value <= 3.0,
+            "seed": lambda: isinstance(value, int) and not isinstance(value, bool) and value >= 0,
+            "label": lambda: isinstance(value, str)}[what[1]]()
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_value_mutated_array_state_follows_the_exit_code_contract(workspace, data):
+    paths, _ = workspace
+    with np.load(paths["state"]) as npz:
+        arrays = dict(npz)
+    mutant, what = data.draw(_state_value_mutant(arrays))
+    path = paths["ws"] / "fuzz_state" / "state.npz"
+    path.parent.mkdir(exist_ok=True)
+    np.savez(path, **mutant)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = _invoke(_loading(paths, "state.npz", path))
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if _valid_state_mutant(mutant, arrays, what):
+        assert result.exit_code == 0, f"{what}: {result.output}\n{result.exception!r}"
+    else:
+        _assert_one_error_line(result, codes=(2, 3))
+
+
+@st.composite
+def _rates_value_mutant(draw, rows):
+    """The rows of a rates CSV with one field changed: a number's sign, zero, a huge finite value, a
+    non-finite or non-numeric token, or another row's vdd; or one row with a field dropped or added."""
+    rows = [row[:] for row in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["sign", "zero", "huge", "token", "repeat", "width"]))
+    if kind == "width":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0.5"]
+        return rows
+    j = draw(st.integers(0, 3))
+    if kind == "repeat":
+        j = 0
+        rows[i][0] = rows[draw(st.integers(0, len(rows) - 1).filter(lambda k: k != i))][0]
+    elif kind == "token":
+        rows[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "x", ""]))
+    elif kind == "huge":
+        rows[i][j] = repr(draw(st.sampled_from(_BAYES_HUGE[float])))
+    else:
+        rows[i][j] = repr(-float(rows[i][j]) if kind == "sign" else 0.0)
+    return rows
+
+
+def _valid_rates(rows) -> bool:
+    """Whether CSV rows are a rates table: four numbers per row, vdd and vddr finite and positive,
+    both rates in [0, 1], and no vdd twice."""
+    try:
+        values = [[float(v) for v in row] for row in rows if len(row) == 4]
+    except ValueError:
+        return False
+    vdds = [v[0] for v in values]
+    return len(values) == len(rows) and len(set(vdds)) == len(vdds) and all(
+        0 < vdd < math.inf and 0 < vddr < math.inf and 0 <= p_abn <= 1 and 0 <= p_n <= 1
+        for vdd, vddr, p_abn, p_n in values)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_value_mutated_rates_csv_follows_the_exit_code_contract(workspace, data):
+    paths, _ = workspace
+    with open(default_rates_fixture(), newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    rows = data.draw(_rates_value_mutant(rows))
+    path = paths["ws"] / "fuzz_rates" / "rates.csv"
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = _invoke(["sweep", "--rates", str(path), "--out", str(path.parent / "sweep.csv")])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if _valid_rates(rows):
+        assert result.exit_code == 0 and result.stderr == "", f"{rows}: {result.output}\n{result.exception!r}"
     else:
         _assert_one_error_line(result, codes=(2, 3))
 

@@ -194,6 +194,10 @@ def test_rates_table_vddr_filter(tmp_path):
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0,nan\n", r"bad.csv:2: p_wake_n=nan outside \[0, 1\]"),
     ("vdd,vddr,p_wake_abn,p_wake_n\nnan,2.4,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,inf,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0,0.1\n0.0,2.4,1.0,0.1\n",
+     r"bad.csv:3: vdd and vddr must be finite and positive"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n-1.0,2.4,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite and positive"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,0.0,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite and positive"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0,0.1\udcff\n",
      r"bad.csv: malformed rates CSV: not UTF-8 text \(invalid start byte\)"),
 ])

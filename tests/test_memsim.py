@@ -1,6 +1,7 @@
 """Complementary-pair storage, noisy reads, and the operating-regime presets."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import scipy.stats
 
 from wakesim.bayesfront import IdealReader
+from wakesim.errors import DataError
 from wakesim.memsim import (
     WORD_BITS,
     ArrayState,
@@ -378,6 +380,35 @@ def test_array_state_round_trip(tmp_path, stub_model):
     assert (back.vddr, back.seed) == (state.vddr, state.seed)
     assert (op_back.vdd, op_back.vddr, op_back.label) == (op.vdd, op.vddr, op.label)
     assert noise_back.sigma_n_table == noise.sigma_n_table
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda a: a.update(codes=a["codes"].astype(np.int64) + 256), "codes hold a value outside 0..255"),
+    (lambda a: a.update(codes=a["codes"].astype(np.int64) - 256), "codes hold a value outside 0..255"),
+    (lambda a: a.update(codes=a["codes"] + 0.7), "codes are float64, expected integers"),
+    (lambda a: a.update(codes=a["codes"] > 0), "codes are bool, expected integers"),
+    (lambda a: a.update(meta=np.array(str(a["meta"]).replace('"seed": 11', '"seed": -11'))),
+     "meta.seed -11 is negative"),
+], ids=["codes+256", "codes-256", "float-codes", "bool-codes", "negative-seed"])
+def test_load_array_state_refuses_codes_that_would_wrap_and_a_negative_seed(tmp_path, stub_model,
+                                                                            edit, message):
+    """Codes cast to uint8 would wrap (c + 256 and c - 256 load as c) or truncate (c + 0.7)."""
+    op, dists, noise = regime_preset("B")
+    state = program_arrays(stub_model(np.arange(128).reshape(4, 4, 8)), dists, op.vddr, seed=11)
+    path = tmp_path / "state.npz"
+    save_array_state(str(path), state, op, noise)
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match=f"{path}: malformed array state: {message}"):
+        load_array_state(str(path))
+    # integer codes of another dtype, in range, load as the same table
+    np.savez(path, **{**arrays, "codes": state.codes.astype(np.int64),
+                      "meta": np.array(json.dumps({"vddr": 1.5, "seed": 0, "vdd": 1.2,
+                                                   "sigma_n_table": [[0.8, 0.1]]}))})
+    back, _, _ = load_array_state(str(path))
+    assert np.array_equal(back.codes, state.codes) and back.codes.dtype == np.uint8 and back.seed == 0
 
 
 def test_consecutive_reads_of_a_word_use_disjoint_uniforms(stub_model):

@@ -445,14 +445,14 @@ def test_predict_features_labels_the_given_rows_of_the_matrix(bench_backend, ben
     assert got.tolist() == whole[rows].tolist()
     assert got.tolist() == bench_backend.predict_features(mags[rows], np.arange(len(rows))).tolist()
     assert len(set(whole[rows].tolist())) > 1
-    # The cached split's labels (read-only, owns its data) equal the gather path of a
-    # writable copy, for unsorted, repeated and empty rows.
+    # A read-only matrix, as feature_matrix returns it, and a writable copy label alike, for
+    # unsorted, repeated and empty rows.
     writable = mags.copy()
     for more in ([3199, 2, 2, 2, 801, 1600, 0, 3199], np.array([], dtype=np.int64), []):
-        memo = bench_backend.predict_features(mags, more)
+        read_only = bench_backend.predict_features(mags, more)
         gathered = bench_backend.predict_features(writable, more)
-        assert memo.dtype == gathered.dtype
-        assert memo.tolist() == gathered.tolist() == whole[np.asarray(more, dtype=np.int64)].tolist()
+        assert read_only.dtype == gathered.dtype
+        assert read_only.tolist() == gathered.tolist() == whole[np.asarray(more, dtype=np.int64)].tolist()
 
 
 def _forward_rows(monkeypatch):
@@ -498,20 +498,14 @@ def test_a_split_streamed_again_labels_each_row_at_most_once(tmp_path, monkeypat
 
 
 def test_a_matrix_that_can_change_is_labelled_anew_on_every_call(monkeypatch, bench_backend, bench_test):
-    """A writable matrix, a read-only view of a writable array, and a read-only matrix whose writes
-    are turned back on after its labels were kept."""
+    """predict_features keeps nothing: every call runs only the requested rows, for a read-only
+    matrix as for a writable one, so a matrix changed between calls gets its new rows' labels."""
     mags, labels = bench_test
     normal, abnormal = np.flatnonzero(labels == 0)[:5], np.flatnonzero(labels == 2)[:5]
-    assert bench_backend.predict_features(mags, abnormal).tolist() == [2] * 5
     calls = _forward_rows(monkeypatch)
-    for kind in ("writable", "view", "writes turned back on"):
-        base = mags.copy()
-        matrix = base[:] if kind == "view" else base
-        matrix.flags.writeable = kind == "writable"
-        before = bench_backend.predict_features(matrix, normal)
-        base.flags.writeable = True
-        base[normal] = mags[abnormal]
-        after = bench_backend.predict_features(matrix, normal)
-        assert before.tolist() == [0] * 5
-        assert after.tolist() == [2] * 5
-    assert calls == [len(normal)] * 6  # only the requested rows, every time
+    writable = mags.copy()
+    for matrix in (mags, writable, mags, writable):
+        assert bench_backend.predict_features(matrix, normal).tolist() == [0] * 5
+    writable[normal] = mags[abnormal]
+    assert bench_backend.predict_features(writable, normal).tolist() == [2] * 5
+    assert calls == [len(normal)] * 5  # only the requested rows, every call
