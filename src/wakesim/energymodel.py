@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 from .artifacts import reading
 from .errors import DataError
+from .memsim import VDD_RANGE, VDDR_RANGE
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,10 @@ class RatesTable:
                     raise DataError(f"{path}:{lineno}: non-numeric value") from exc
                 if not (0 < vdd < math.inf and 0 < row_vddr < math.inf):
                     raise DataError(f"{path}:{lineno}: vdd and vddr must be finite and positive")
+                if not VDD_RANGE[0] <= vdd <= VDD_RANGE[1]:
+                    raise DataError(f"{path}:{lineno}: vdd {vdd:g} outside {VDD_RANGE}")
+                if not VDDR_RANGE[0] <= row_vddr <= VDDR_RANGE[1]:
+                    raise DataError(f"{path}:{lineno}: vddr {row_vddr:g} outside {VDDR_RANGE}")
                 try:
                     rates = WakeRates(p_abn, p_n)
                 except ValueError as exc:

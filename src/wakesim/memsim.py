@@ -17,15 +17,21 @@ Philox stream keyed by (read seed, address), and read k of that address
 takes uniforms [8k, 8k + 8) of it, one per bit. A counter-based stream is
 fully set by its (key, counter) pair, so these streams are positions of
 one generator that a reader re-keys, and the reader keeps only a read
-count per address. Repeated reads of a word get disjoint noise, and the
-noise of a read does not depend on the order of reads to other addresses,
-so `MemristorReader.read_many` can serve a whole stream of reads grouped by
-address and return exactly what the same sequence of single reads would.
-It does so with one (reads, 8) bool flip buffer per call: each address's
-run of reads compares its uniforms into its rows of the buffer, and after
-the loop one multiply packs every row into a word, one XOR applies the
-flips to the stored codes and one scatter puts the words in sequence
-order, so a stream costs its Philox draws plus a few whole-stream calls.
+count per address. The uniforms depend on the read seed and the address
+alone, not on the array or the supply, so the readers of one seed share
+them: a module-level store holds the uniforms drawn so far for the last
+read seed used, 64 B (8 float64) per read of each address, and a reader
+draws only the rows that no reader of its seed has drawn yet. A reader of
+another seed replaces the store. Repeated reads of a word get disjoint
+noise, and the noise of a read does not depend on the order of reads to
+other addresses, so `MemristorReader.read_many` can serve a whole stream of
+reads grouped by address and return exactly what the same sequence of
+single reads would. It does so with one (reads, 8) bool flip buffer per
+call: each address's run of reads compares its uniforms into its rows of
+the buffer, and after the loop one multiply packs every row into a word,
+one XOR applies the flips to the stored codes and one scatter puts the
+words in sequence order, so a stream costs the Philox draws not yet in
+the store plus a few whole-stream calls.
 
 The shipped operating-regime presets are calibration constants chosen so the
 benchmark reproduces three qualitative regimes (healthy, relaxed
@@ -55,10 +61,17 @@ READ_SEED_MAX = 2**64 - 1
 VDD_RANGE = (0.5, 1.4)
 VDDR_RANGE = (1.0, 3.0)
 
-# erfc over an array, one math.erfc call per entry. The flip table is
-# computed once per reader; at about 0.2 ms for its 1024 entries this loop is
-# the largest share of reader set-up.
-_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc over an array, one math.erfc call per entry: the largest share of reader set-up."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+# The uniform store (see the module docstring): (read seed, {address:
+# (float64 (capacity, 8) buffer, rows filled)}), where row k of an address
+# holds the uniforms of its read k.
+_uniforms: tuple = (None, {})
+_NO_ROWS = (np.empty((0, WORD_BITS)), 0)
 
 
 @dataclass(frozen=True)
@@ -228,7 +241,9 @@ class MemristorReader:
     or batched. The streams are positions of one Philox generator, made
     with the reader: before each run of reads of an address it is re-keyed
     to (seed, address) and its counter set from that address's read count,
-    the only per-address state the reader keeps.
+    the only per-address state the reader keeps. The uniforms come from the
+    module's store, which every reader of the last seed used shares and a
+    reader of another seed replaces; it holds 64 B per read of an address.
 
     `read_many(class_ids, features, levels)` reads a whole sequence of words
     in one call and returns exactly what the same sequence of single reads
@@ -305,19 +320,38 @@ class MemristorReader:
         return self._codes[addr] ^ pack_flips(flips)
 
     def _draw(self, addr: int, out: np.ndarray) -> None:
-        """The flips of the next len(out) reads of one address, into the (len(out), 8) bool array out."""
+        """The flips of the next len(out) reads of one address, into the (len(out), 8) bool array out.
+
+        Reads k..k+n of the address take rows k..k+n of its buffer in the
+        uniform store; only the rows past its filled end are drawn.
+        """
+        global _uniforms
         k = self._reads[addr]
-        self._reads[addr] = k + len(out)
-        # Philox makes 4 outputs per counter step and bumps the counter
-        # before each step. With an empty buffer (buffer_pos 4, as in the
-        # state of a fresh generator) and counter 2k, the next draw starts at
-        # uniform 8k of the (seed, addr) stream. Each read takes two whole
-        # steps, so the buffer is empty again after the draw.
-        state = self._bitgen_state
-        state["state"]["key"][1] = addr
-        state["state"]["counter"][0] = 2 * k
-        self._bitgen.state = state
-        np.less(self._rng.random(out.shape), self._eps[addr], out=out)
+        end = k + len(out)
+        self._reads[addr] = end
+        if _uniforms[0] != self.seed:
+            _uniforms = (self.seed, {})
+        rows = _uniforms[1]
+        buf, filled = rows.get(addr, _NO_ROWS)
+        if end > filled:
+            if end > len(buf):
+                # Geometric growth keeps a run of single reads linear.
+                grown = np.empty((max(end, 2 * len(buf)), WORD_BITS))
+                grown[:filled] = buf[:filled]
+                buf = grown
+            # Philox makes 4 outputs per counter step and bumps the counter
+            # before each step. With an empty buffer (buffer_pos 4, as in
+            # the state of a fresh generator) and counter 2 * filled, the
+            # next draw starts at uniform 8 * filled of the (seed, addr)
+            # stream. Each row takes two whole steps, so the buffer is empty
+            # again after the draw.
+            state = self._bitgen_state
+            state["state"]["key"][1] = addr
+            state["state"]["counter"][0] = 2 * filled
+            self._bitgen.state = state
+            self._rng.random(out=buf[filled:end])
+            rows[addr] = (buf, end)
+        np.less(buf[k:end], self._eps[addr], out=out)
 
 
 # ---------------------------------------------------------------------------

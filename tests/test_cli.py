@@ -28,6 +28,7 @@ from wakesim.data import default_rates_fixture
 from wakesim.datapipe.beats import read_beats_csv, write_beats_csv
 from wakesim.datapipe.features import FEATURE_LEN, chi2_rank
 from wakesim.datapipe.synthetic import synth_dataset
+from wakesim.memsim import VDD_RANGE, VDDR_RANGE
 
 
 def _invoke(args, **kwargs):
@@ -224,6 +225,21 @@ def test_sweep_on_a_rates_row_without_a_positive_vdd_names_the_line(workspace, t
     result = _invoke(["sweep", "--rates", str(rates), "--out", str(tmp_path / "sweep.csv")])
     _assert_one_error_line(result, codes=(3,))
     assert result.stderr == f"wakesim: error: data: {rates}:{line}: vdd and vddr must be finite and positive\n"
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # a finite vdd this large overflows e_fe and p_mon to inf, and inf / inf to a nan ratio
+    ("1.0,2.4,1.0,0.1\n1e308,2.4,1.0,0.1\n", 3, "vdd 1e+308 outside (0.5, 1.4)"),
+    ("1e308,2.4,1.0,0.1\n", 2, "vdd 1e+308 outside (0.5, 1.4)"),
+    ("1.0,2.4,1.0,0.1\n1.2,3.5,1.0,0.1\n", 3, "vddr 3.5 outside (1.0, 3.0)"),
+])
+def test_sweep_on_a_rates_row_outside_the_supply_ranges_names_the_line(workspace, tmp_path, rows, line,
+                                                                        message):
+    rates = tmp_path / "rates.csv"
+    rates.write_text("vdd,vddr,p_wake_abn,p_wake_n\n" + rows)
+    result = _invoke(["sweep", "--rates", str(rates), "--out", str(tmp_path / "sweep.csv")])
+    _assert_one_error_line(result, codes=(3,))
+    assert result.stderr == f"wakesim: error: data: {rates}:{line}: {message}\n"
 
 
 def test_sweep_rejects_bad_grid(workspace):
@@ -853,15 +869,16 @@ def _rates_value_mutant(draw, rows):
 
 
 def _valid_rates(rows) -> bool:
-    """Whether CSV rows are a rates table: four numbers per row, vdd and vddr finite and positive,
-    both rates in [0, 1], and no vdd twice."""
+    """Whether CSV rows are a rates table: four numbers per row, vdd and vddr inside memsim's
+    VDD_RANGE and VDDR_RANGE, both rates in [0, 1], and no vdd twice."""
     try:
         values = [[float(v) for v in row] for row in rows if len(row) == 4]
     except ValueError:
         return False
     vdds = [v[0] for v in values]
     return len(values) == len(rows) and len(set(vdds)) == len(vdds) and all(
-        0 < vdd < math.inf and 0 < vddr < math.inf and 0 <= p_abn <= 1 and 0 <= p_n <= 1
+        VDD_RANGE[0] <= vdd <= VDD_RANGE[1] and VDDR_RANGE[0] <= vddr <= VDDR_RANGE[1]
+        and 0 <= p_abn <= 1 and 0 <= p_n <= 1
         for vdd, vddr, p_abn, p_n in values)
 
 

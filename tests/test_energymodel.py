@@ -198,6 +198,8 @@ def test_rates_table_vddr_filter(tmp_path):
      r"bad.csv:3: vdd and vddr must be finite and positive"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n-1.0,2.4,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite and positive"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,0.0,1.0,0.1\n", r"bad.csv:2: vdd and vddr must be finite and positive"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n0.4,2.4,1.0,0.1\n", r"bad.csv:2: vdd 0.4 outside \(0.5, 1.4\)"),
+    ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,3.5,1.0,0.1\n", r"bad.csv:2: vddr 3.5 outside \(1.0, 3.0\)"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0,0.1\udcff\n",
      r"bad.csv: malformed rates CSV: not UTF-8 text \(invalid start byte\)"),
 ])

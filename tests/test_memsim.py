@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from wakesim import memsim
 from wakesim.bayesfront import IdealReader
 from wakesim.errors import DataError
 from wakesim.memsim import (
@@ -530,6 +531,129 @@ def test_a_reader_builds_one_philox(monkeypatch, stub_model):
             reader(*a)
         reader.read_many(*zip(*addresses))
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# the uniform store shared by the readers of one read seed
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """Empty memsim's uniform store; return a callable that empties it again."""
+    def empty():
+        monkeypatch.setattr(memsim, "_uniforms", (None, {}))
+    empty()
+    return empty
+
+
+class _CountingRng:
+    """A reader's Generator that counts the uniforms drawn through it."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms = rng, 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        drawn = self.rng.random(size, dtype, out)
+        self.uniforms += drawn.size
+        return drawn
+
+
+def _counting(reader):
+    reader._rng = _CountingRng(reader._rng)
+    return reader._rng
+
+
+def _two_arrays(stub_model):
+    # two arrays and two supplies, so that the readers below share nothing
+    # but their read seed
+    _, dists, noise = regime_preset("B")
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
+    state_a = program_arrays(model, dists, 1.5, seed=1)
+    state_b = program_arrays(model, dists, 2.4, seed=2)
+    return ((state_a, lambda seed: MemristorReader(state_a, OperatingPoint(1.2, 1.5), noise, seed)),
+            (state_b, lambda seed: MemristorReader(state_b, OperatingPoint(0.8, 2.4), noise, seed)))
+
+
+def test_interleaved_readers_of_one_seed_read_as_if_alone(empty_store, stub_model):
+    # A reads part of its schedule, B reads all of its own (further into
+    # some streams than A has gone), then A reads the rest; each gets the
+    # words it gets when it runs from an empty store
+    (state_a, make_a), (state_b, make_b) = _two_arrays(stub_model)
+    addresses = list(np.ndindex(state_a.codes.shape))
+    rng = np.random.default_rng(4)
+    sched_a = [addresses[i] for i in rng.integers(0, 12, 900)]
+    sched_b = [addresses[i] for i in rng.integers(4, 20, 1500)]
+
+    def alone(make, schedule):
+        empty_store()
+        return make(9).read_many(*zip(*schedule)).tolist()
+
+    want_a, want_b = alone(make_a, sched_a), alone(make_b, sched_b)
+    empty_store()
+    a, b = make_a(9), make_b(9)
+    got_a = a.read_many(*zip(*sched_a[:300])).tolist()
+    got_a += [a(*x) for x in sched_a[300:400]]
+    got_b = [b(*x) for x in sched_b[:200]] + b.read_many(*zip(*sched_b[200:])).tolist()
+    got_a += a.read_many(*zip(*sched_a[400:])).tolist()
+    assert got_a == want_a == _reference_words(state_a, a, 9, sched_a)
+    assert got_b == want_b == _reference_words(state_b, b, 9, sched_b)
+    assert got_a != [int(state_a.codes[x]) for x in sched_a]
+    assert got_b != [int(state_b.codes[x]) for x in sched_b]
+
+
+def test_a_second_reader_of_a_seed_draws_no_row_the_first_drew(empty_store, stub_model):
+    (state_a, make_a), (_, make_b) = _two_arrays(stub_model)
+    schedule = list(np.ndindex(state_a.codes.shape)) * 3
+    a, b = make_a(9), make_b(9)
+    drawn_a, drawn_b = _counting(a), _counting(b)
+    a.read_many(*zip(*schedule))
+    assert drawn_a.uniforms == 8 * len(schedule)
+    b.read_many(*zip(*schedule))
+    assert drawn_b.uniforms == 0
+    # b goes past a: it draws the next rows, which a then reads without drawing
+    b.read_many(*zip(*schedule[:10]))
+    a.read_many(*zip(*schedule[:10]))
+    assert (drawn_a.uniforms, drawn_b.uniforms) == (8 * len(schedule), 80)
+
+
+def test_a_reader_of_a_new_seed_replaces_the_store(empty_store, stub_model):
+    (state_a, make_a), (_, make_b) = _two_arrays(stub_model)
+    schedule = list(np.ndindex(state_a.codes.shape)) * 2
+    first = make_a(9)
+    first.read_many(*zip(*schedule))
+    other = make_b(10)
+    drawn = _counting(other)
+    other.read_many(*zip(*schedule))
+    assert drawn.uniforms == 8 * len(schedule)
+    assert memsim._uniforms[0] == 10
+    # the seed-9 rows are gone: a new seed-9 reader draws them again, and
+    # gets the words of fresh streams
+    again = make_a(9)
+    drawn = _counting(again)
+    assert again.read_many(*zip(*schedule)).tolist() == _reference_words(state_a, again, 9, schedule)
+    assert drawn.uniforms == 8 * len(schedule)
+
+
+def test_per_word_reads_equal_one_read_many_and_regrow_the_buffer_rarely(empty_store, stub_model):
+    (state, make), _ = _two_arrays(stub_model)
+    address = (2, 1, 5)
+    addr = int(np.ravel_multi_index(address, state.codes.shape))
+    one = make(9)
+    words, buffers = [], []
+    for _ in range(3000):
+        words.append(one(*address))
+        buffers.append(memsim._uniforms[1][addr][0])
+    # capacity at least doubles each time it grows, so 3000 reads one at a
+    # time copy O(3000) rows in all
+    assert len({id(b) for b in buffers}) <= 2 + math.log2(3000)
+    # a second reader takes all 3000 rows from the store; a third draws
+    # them afresh in one block
+    block = [[v] * 3000 for v in address]
+    assert make(9).read_many(*block).tolist() == words
+    empty_store()
+    assert make(9).read_many(*block).tolist() == words
+    assert sum(w != state.codes[address] for w in words) > 100
 
 
 @pytest.mark.parametrize("make_reader", [
