@@ -159,12 +159,32 @@ def word_address(shape, class_id: int, feature: int, level: int) -> int:
 
 
 def word_addresses(shape, class_ids, features, levels) -> np.ndarray:
-    """word_address over a read sequence: one flat index per read."""
-    index = tuple(np.asarray(a, dtype=np.intp) for a in (class_ids, features, levels))
+    """word_address over a read sequence: one flat index per read.
+
+    The three integer arrays broadcast together, so compact ones serve:
+    bayes_infer_many passes (N_CLASSES, 1, 1), (1, n_features, 1) and
+    (1, n_features, n_beats) arrays and gets its reads in (class, feature,
+    beat) order. Raises IndexError for a value outside its axis (checked
+    on each array before broadcasting), for a non-empty array that is not
+    of an integer dtype (a float or bool index would be truncated or read
+    as 0/1), and for arrays that do not broadcast.
+    """
+    index = []
+    for a, n in zip((class_ids, features, levels), shape):
+        a = np.asarray(a)
+        if a.size:
+            if a.dtype.kind not in "iu":
+                raise IndexError(f"read sequence of dtype {a.dtype}: addresses must be integers")
+            if not (0 <= a.min() and a.max() < n):
+                raise IndexError(f"read sequence outside {shape}")
+        index.append(a.astype(np.intp, copy=False))
+    c, f, l = index
+    _, n_features, n_levels = shape
     try:
-        return np.ravel_multi_index(index, shape)
-    except ValueError as exc:  # an index outside its axis, or arrays that do not broadcast
-        raise IndexError(f"read sequence outside {shape}: {exc}") from None
+        return (c * n_features + f) * n_levels + l
+    except ValueError:  # arrays that do not broadcast
+        shapes = [a.shape for a in index]
+        raise IndexError(f"read sequence of shapes {shapes} does not broadcast") from None
 
 
 class IdealReader:
@@ -241,22 +261,23 @@ def bayes_infer_many(levels, model: BayesModel, reader) -> ScoreBatch:
     """bayes_infer over a (n_beats, n_features) level matrix in one pass.
 
     The reader must offer read_many(class_ids, features, levels) -> codes,
-    which takes (beat, class, feature) views and reads them flattened in C
-    order: the order a per-beat bayes_infer loop reads its words (beat,
-    then class, then feature), so a reader whose noise depends on
-    per-address read order returns the same words either way.
+    which reads the broadcast address arrays flattened in C order. They
+    are passed compact and class-major: class (N_CLASSES, 1, 1), feature
+    (1, n_features, 1) and level (1, n_features, n_beats), so the words
+    arrive in (class, feature, beat) order and each class's score is a sum
+    over the feature axis. A per-beat bayes_infer loop reads in (beat,
+    class, feature) order instead, but for any one address both orders
+    read it in beat order, so a reader whose noise depends only on
+    per-address read order (memsim.MemristorReader) returns the same words
+    either way.
     """
     levels = np.asarray(levels, dtype=np.int64)
     n_beats, n_features = levels.shape
-    shape = (n_beats, N_CLASSES, n_features)
-    words = reader.read_many(np.broadcast_to(np.arange(N_CLASSES)[None, :, None], shape),
-                             np.broadcast_to(np.arange(n_features)[None, None, :], shape),
-                             np.broadcast_to(levels[:, None, :], shape))
-    words = np.asarray(words, dtype=np.int64).reshape(shape)
-    scores = np.zeros((n_beats, N_CLASSES), dtype=np.int64)
-    for f in range(n_features):
-        scores += words[:, :, f]
-    return _decide(scores, model)
+    words = reader.read_many(np.arange(N_CLASSES)[:, None, None],
+                             np.arange(n_features)[None, :, None],
+                             levels.T[None])
+    words = np.asarray(words, dtype=np.int64).reshape(N_CLASSES, n_features, n_beats)
+    return _decide(words.sum(axis=1).T, model)
 
 
 def _decide(scores: np.ndarray, model: BayesModel) -> ScoreBatch:

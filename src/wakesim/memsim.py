@@ -26,12 +26,16 @@ another seed replaces the store. Repeated reads of a word get disjoint
 noise, and the noise of a read does not depend on the order of reads to
 other addresses, so `MemristorReader.read_many` can serve a whole stream of
 reads grouped by address and return exactly what the same sequence of
-single reads would. It does so with one (reads, 8) bool flip buffer per
-call: each address's run of reads compares its uniforms into its rows of
-the buffer, and after the loop one multiply packs every row into a word,
-one XOR applies the flips to the stored codes and one scatter puts the
-words in sequence order, so a stream costs the Philox draws not yet in
-the store plus a few whole-stream calls.
+single reads would. bayesfront.bayes_infer_many reads a stream class-major,
+in (class, feature, beat) order, where a per-beat loop reads (beat, class,
+feature); both read each address in beat order, so each address's k-th
+read, and its noise, is the same beat's. read_many serves a stream with
+one (reads, 8) bool flip buffer per call: each address's run of reads
+compares its uniforms into its rows of the buffer, and after the loop
+one multiply packs every row into a word, one XOR applies the flips to
+the stored codes and one scatter puts the words in sequence order, so a
+stream costs the Philox draws not yet in the store plus a few
+whole-stream calls.
 
 The shipped operating-regime presets are calibration constants chosen so the
 benchmark reproduces three qualitative regimes (healthy, relaxed
@@ -290,12 +294,17 @@ class MemristorReader:
     def read_many(self, class_ids, features, levels) -> np.ndarray:
         """Words of a read sequence, in order; same as one call per read.
 
-        The address arrays broadcast together and are read flattened in C
-        order, so they may be views of any shape. One (reads, 8) bool
-        buffer takes every read's flips: each address's run of reads fills
-        its rows with one draw and one compare, then pack_flips packs all
-        rows at once, one XOR applies them to the stored codes and one
-        scatter returns the words to sequence order.
+        The integer address arrays broadcast together and are read
+        flattened in C order, so they may be compact or views of any shape
+        (bayes_infer_many passes a class-major (class, feature, beat) grid
+        of three small arrays). Only the order of each address's own reads
+        sets its noise, so any order that keeps it returns the same words
+        for the same reads.
+
+        One (reads, 8) bool buffer takes every read's flips: each address's
+        run of reads fills its rows with one draw and one compare, then
+        pack_flips packs all rows at once, one XOR applies them to the
+        stored codes and one scatter returns the words to sequence order.
         """
         addrs = word_addresses(self._shape, class_ids, features, levels).ravel()
         # A stable sort groups each address's reads and keeps them in

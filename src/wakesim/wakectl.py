@@ -165,11 +165,14 @@ class StreamResult:
                 raise ValueError(f"trace column {name} holds a value outside 0..{n - 1}")
         keys = ((self.true * N_CLASSES + self.front) * len(REASONS) + self.reason) * N_CLASSES \
             + self.system
+        # Beat numbers at the even slots and line bodies at the odd ones: one
+        # join, with no string built per line.
+        parts = [""] * (2 * self.n)
+        parts[::2] = _trace_prefixes(self.n)[:self.n]
+        parts[1::2] = [_TRACE_ROWS[k] for k in keys.tolist()]
         with open(path, "w", newline="") as fh:
             fh.write("beat,true,front_pred,wake,reason,system_pred\r\n")
-            # map stops at the end of keys, so a longer prefix list is fine.
-            fh.write("".join(map(operator.add, _trace_prefixes(self.n),
-                                 map(_TRACE_ROWS.__getitem__, keys.tolist()))))
+            fh.write("".join(parts))
 
 
 def _front_end(mags, model: BayesModel, reader, policy: WakePolicy):

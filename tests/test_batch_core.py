@@ -295,6 +295,22 @@ def test_batched_inference_equals_bayes_infer(bench_model):
         assert seen == set(range(len(REASONS)))  # every reason fires under some policy
 
 
+@pytest.mark.parametrize("name", ["B", "C"])
+@pytest.mark.parametrize("n_beats", [0, 1, 257])
+def test_class_major_batch_reads_each_address_as_a_per_beat_loop(bench_model, name, n_beats):
+    # bayes_infer_many reads (class, feature, beat), the loop (beat, class,
+    # feature); each address is read in beat order either way
+    levels = np.random.default_rng(n_beats).integers(0, 8, size=(n_beats, N_FEATURES))
+    batch_reader, loop_reader = _preset_reader(bench_model, name), _preset_reader(bench_model, name)
+    batch = bayes_infer_many(levels, bench_model, batch_reader)
+    loop = [bayes_infer(row, bench_model, loop_reader) for row in levels.tolist()]
+    assert batch.scores.shape == (n_beats, N_CLASSES)
+    assert batch.scores.tolist() == [list(o.scores) for o in loop]
+    assert [batch[i] for i in range(n_beats)] == loop
+    assert batch_reader._reads == loop_reader._reads
+    assert sum(batch_reader._reads) == n_beats * N_CLASSES * N_FEATURES
+
+
 def test_batched_backend_equals_mlp_infer_on_every_woken_beat(bench_backend, bench_test,
                                                               regime_streams):
     mags, _ = bench_test

@@ -20,6 +20,7 @@ from wakesim.bayesfront import (
     invalid_threshold,
     load_bayes_model,
     save_bayes_model,
+    word_addresses,
 )
 from wakesim.datapipe.quantizers import QuantizerSpec
 
@@ -230,6 +231,70 @@ def test_model_validates_code_shape(stub_model):
         stub_model(np.zeros((4, 4, 7)))
     with pytest.raises(ValueError, match="4 feature bins, with one quantizer each"):
         BayesModel((0, 1, 2), (QuantizerSpec(0.0, 1.0),) * 3, np.zeros((4, 4, 8)), LogCodec())
+
+
+# ---------------------------------------------------------------------------
+# word addresses of a read sequence
+# ---------------------------------------------------------------------------
+
+SHAPE = (4, 4, 8)
+
+
+def _class_major(levels):
+    """The compact class-major arrays bayes_infer_many reads through."""
+    return (np.arange(SHAPE[0])[:, None, None], np.arange(SHAPE[1])[None, :, None],
+            levels.T[None])
+
+
+def _beat_major(levels):
+    """(beat, class, feature) broadcast views of the same reads."""
+    grid = (len(levels),) + SHAPE[:2]
+    return (np.broadcast_to(np.arange(SHAPE[0])[None, :, None], grid),
+            np.broadcast_to(np.arange(SHAPE[1])[None, None, :], grid),
+            np.broadcast_to(levels[:, None, :], grid))
+
+
+@pytest.mark.parametrize("n", [0, 1, 257])
+def test_word_addresses_equal_ravel_multi_index(n):
+    rng = np.random.default_rng(n)
+    flat = tuple(rng.integers(0, size, size=n) for size in SHAPE)
+    levels = rng.integers(0, SHAPE[2], size=(n, SHAPE[1]))
+    for index in (flat, _beat_major(levels), _class_major(levels)):
+        got = word_addresses(SHAPE, *index)
+        expected = np.ravel_multi_index(np.broadcast_arrays(*index), SHAPE)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+    # the class-major grid holds the beat-major reads, transposed
+    assert np.array_equal(word_addresses(SHAPE, *_class_major(levels)),
+                          word_addresses(SHAPE, *_beat_major(levels)).transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("index", [
+    *[tuple([v] if axis == a else [0] for a in range(3))
+      for axis in range(3) for v in (-1, SHAPE[axis])],
+    ([0, 1], [0, 1, 2], [0]),
+    (np.zeros((2, 1, 1), int), np.zeros((1, 3, 1), int), np.zeros((4, 1, 2), int)),
+    ([0.9], [1.7], [2.2]),
+    ([0], [1], [2.0]),
+    ([0], [1], [np.nan]),
+    ([True], [False], [True]),
+    ([0], np.array([1], dtype=object), [2]),
+], ids=lambda index: repr(index)[:40])
+def test_word_addresses_refuse_a_bad_read_sequence(index):
+    with pytest.raises(IndexError):
+        word_addresses(SHAPE, *index)
+
+
+def test_word_addresses_read_nothing_from_empty_sequences():
+    # an empty list is float64; with nothing to read it is not refused
+    assert word_addresses(SHAPE, [], [], []).tolist() == []
+    assert word_addresses(SHAPE, np.array([], dtype=bool), [], []).dtype == np.intp
+
+
+def test_word_addresses_do_not_wrap_narrow_integers():
+    shape = (4, 16, 256)
+    index = [np.array([v], dtype=np.uint8) for v in (3, 15, 255)]
+    assert word_addresses(shape, *index).tolist() == [np.ravel_multi_index((3, 15, 255), shape)]
 
 
 def test_quantize_matrix_uses_selected_bins():

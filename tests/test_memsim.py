@@ -656,10 +656,13 @@ def test_per_word_reads_equal_one_read_many_and_regrow_the_buffer_rarely(empty_s
     assert sum(w != state.codes[address] for w in words) > 100
 
 
-@pytest.mark.parametrize("make_reader", [
+_READER_MAKERS = pytest.mark.parametrize("make_reader", [
     lambda state, model: IdealReader(model),
     lambda state, model: MemristorReader(state, OperatingPoint(1.2, 1.5), regime_preset("B")[2], seed=7),
 ], ids=["ideal", "memristor"])
+
+
+@_READER_MAKERS
 @pytest.mark.parametrize("address", [
     (-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 4, 0), (0, 0, -1), (0, 0, 8),
 ])
@@ -671,3 +674,19 @@ def test_readers_reject_an_address_outside_the_table(make_reader, address, stub_
         reader(*address)
     with pytest.raises(IndexError):
         reader.read_many(*([0, v] for v in address))
+
+
+@_READER_MAKERS
+@pytest.mark.parametrize("index", [
+    ([0.9], [1.7], [2.2]), ([0], [1], [2.0]), ([0], [1], [np.nan]), ([True], [False], [True]),
+], ids=["floats", "one-float-axis", "nan", "bools"])
+def test_readers_refuse_a_read_sequence_that_is_not_integer(make_reader, index, stub_model):
+    # a float address would be truncated to another word, a bool read as 0 or 1
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
+    reader = make_reader(program_arrays(model, regime_preset("B")[1], 1.5, seed=1), model)
+    dtype = np.asarray(index[2]).dtype
+    with pytest.raises(IndexError, match=f"dtype {dtype}"):
+        reader.read_many(*index)
+    assert reader.read_many([], [], []).tolist() == []
+    if isinstance(reader, MemristorReader):
+        assert sum(reader._reads) == 0
