@@ -10,6 +10,7 @@ resolution and the inference is flagged invalid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,12 +147,24 @@ class ClassScores:
     invalid: bool
 
 
+def _coordinate(x) -> int:
+    """An address coordinate as an int; IndexError for a bool or a value operator.index refuses."""
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise IndexError(f"address coordinate of type {type(x).__name__}: addresses must be integers")
+
+
 def word_address(shape, class_id: int, feature: int, level: int) -> int:
     """Flat index of one (class, feature, level) address of a code table.
 
-    Raises IndexError for an address outside `shape`; a negative index
-    does not wrap.
+    Raises IndexError for an address outside `shape` (a negative index
+    does not wrap) and, as word_addresses does, for a coordinate that is
+    not an integer: a bool, or anything operator.index refuses.
     """
+    class_id, feature, level = map(_coordinate, (class_id, feature, level))
     n_classes, n_features, n_levels = shape
     if not (0 <= class_id < n_classes and 0 <= feature < n_features and 0 <= level < n_levels):
         raise IndexError(f"address {(class_id, feature, level)} outside {shape}")
@@ -190,8 +203,8 @@ def word_addresses(shape, class_ids, features, levels) -> np.ndarray:
 class IdealReader:
     """Fault-free word reader: returns stored codes unchanged.
 
-    An address outside the code table raises IndexError, as in
-    memsim.MemristorReader.
+    An address outside the code table, or one that is not of integers,
+    raises IndexError, as in memsim.MemristorReader.
     """
 
     def __init__(self, model: BayesModel):

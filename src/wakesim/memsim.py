@@ -255,7 +255,7 @@ class MemristorReader:
     and both draw and compare through `_draw`.
     The flip-probability table `flip_table` (class, feature, level, bit) is
     computed once, when the reader is made. An address outside the code
-    table raises IndexError, and a seed outside 0..READ_SEED_MAX raises
+    table, or one that is not of integers, raises IndexError, and a seed outside 0..READ_SEED_MAX raises
     ValueError.
     """
 

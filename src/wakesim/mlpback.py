@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,13 +107,26 @@ class MlpFloat:
     def dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
+    def activations(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """The input batch, then each layer's activation, each computed only when asked for.
+
+        A layer's bias add and ReLU run in place on its product, and a
+        yielded array is never written again, so a caller that keeps only
+        the latest one holds at most two layers' rows at a time.
+        """
+        a = np.asarray(x, dtype=np.float64)
+        yield a
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            a = a @ w.T
+            a += b
+            if i < last:
+                np.maximum(a, 0.0, out=a)
+            yield a
+
     def forward(self, x: np.ndarray) -> list[np.ndarray]:
         """Activations per layer; index 0 is the input batch."""
-        acts = [np.asarray(x, dtype=np.float64)]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w.T + b
-            acts.append(np.maximum(z, 0.0) if i < len(self.weights) - 1 else z)
-        return acts
+        return list(self.activations(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         logits = self.forward(x)[-1]
@@ -229,9 +243,11 @@ def quantize_mlp(model: MlpFloat, calibration: np.ndarray) -> MlpModel:
     tensor gets scale 1). Biases: int32 at the combined input*weight scale;
     a final-layer bias that would let a logit leave int32 raises ValueError.
     Hidden activations: per-tensor affine from the observed [0, max] range.
+    Each hidden activation is computed only when its s_out needs it, and the
+    final layer's is never computed.
     """
-    calibration = np.asarray(calibration, dtype=np.float64)
-    acts = model.forward(calibration)
+    acts = model.activations(calibration)
+    next(acts)  # the input batch
     layers: list[QuantLayer] = []
     s_in = INPUT_SCALE
     zp_in = INPUT_ZERO_POINT
@@ -244,7 +260,7 @@ def quantize_mlp(model: MlpFloat, calibration: np.ndarray) -> MlpModel:
             raise ValueError("bias does not fit in int32 at the combined scale")
         b_q = b_q.astype(np.int32)
         if i < n_layers - 1:
-            peak = float(acts[i + 1].max())
+            peak = float(next(acts).max())
             s_out = peak / 255.0 if peak > 0 else 1.0 / 255.0
             zp_out = -128  # range [0, peak]: ReLU folds into the clamp
             layers.append(QuantLayer(w_q, b_q, s_w, s_in, zp_in, s_out, zp_out))

@@ -66,14 +66,29 @@ MUTANTS = (
            'state["state"]["counter"][0] = 2 * filled', 'state["state"]["counter"][0] = filled',
            ("tests/test_memsim.py::test_consecutive_reads_of_a_word_use_disjoint_uniforms",
             "tests/test_memsim.py::test_rekeyed_reads_leak_no_position_between_addresses")),
+    Mutant("re-key at the reader's own read count, not the store's", "memsim.py",
+           'state["state"]["counter"][0] = 2 * filled', 'state["state"]["counter"][0] = 2 * k',
+           (_MEMSIM + "test_interleaved_readers_of_one_seed_read_as_if_alone",)),
     Mutant("store grows by the run, not geometrically", "memsim.py",
            "np.empty((max(end, 2 * len(buf)), WORD_BITS))", "np.empty((end, WORD_BITS))",
+           (_MEMSIM + "test_per_word_reads_equal_one_read_many_and_regrow_the_buffer_rarely",)),
+    # NaN stands for np.empty's undefined rows, so the mutant fails the same way on every run.
+    Mutant("store growth drops the rows drawn so far", "memsim.py",
+           "grown[:filled] = buf[:filled]", "grown[:filled] = np.nan",
            (_MEMSIM + "test_per_word_reads_equal_one_read_many_and_regrow_the_buffer_rarely",)),
     # run_stream's _once: each woken row is asked of one back end once.
     Mutant("labels memo asks for every row", "wakectl.py",
            "new = np.unique(rows[known[rows] < 0])", "new = np.unique(rows)",
            ("tests/test_batch_core.py::"
             "test_a_stream_of_the_last_streams_records_in_order_reuses_its_matrix",)),
+    Mutant("labels memo asks again for rows labelled normal", "wakectl.py",
+           "known[rows] < 0", "known[rows] <= 0",
+           ("tests/test_mlpback.py::test_a_split_streamed_again_labels_each_row_at_most_once",)),
+    # MlpFloat.activations: the float chain that training, predict and calibration share.
+    Mutant("hidden ReLU dropped from the float chain", "mlpback.py",
+           "                np.maximum(a, 0.0, out=a)\n", "                pass\n",
+           ("tests/test_mlpback.py::test_forward_is_the_activation_chain_and_sets_each_hidden_scale",
+            "tests/test_mlpback.py::test_gradients_match_finite_differences")),
     # load_classifier: the final-layer bias bound that keeps logits in int32.
     Mutant("loader logit-bias check removed", "mlpback.py",
            '                _check_logit_range(bias, shape[1], f"{where}.bias")\n',

@@ -687,6 +687,10 @@ def test_readers_refuse_a_read_sequence_that_is_not_integer(make_reader, index, 
     dtype = np.asarray(index[2]).dtype
     with pytest.raises(IndexError, match=f"dtype {dtype}"):
         reader.read_many(*index)
+    # the per-word call refuses the same coordinates, naming their type
+    word = [v[0] for v in index]
+    with pytest.raises(IndexError, match=f"type {type(word[2]).__name__}: addresses must be integers"):
+        reader(*word)
     assert reader.read_many([], [], []).tolist() == []
     if isinstance(reader, MemristorReader):
         assert sum(reader._reads) == 0

@@ -2,14 +2,17 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wakesim.mlpback import (
+    HIDDEN_DIMS,
     INPUT_SCALE,
     INPUT_ZERO_POINT,
     MLP_TILE,
+    N_INPUT_BINS,
     InputQuantizer,
     MlpClassifier,
     MlpFloat,
@@ -211,6 +214,51 @@ def test_quantize_refuses_a_final_bias_that_lets_a_logit_wrap():
     model = MlpFloat(weights=[np.eye(4, 2)], biases=[np.array([66310.0, 0.0, 0.0, 0.0])])
     with pytest.raises(ValueError, match="exceeds int32"):
         quantize_mlp(model, np.zeros((2, 2)))
+
+
+def test_forward_is_the_activation_chain_and_sets_each_hidden_scale():
+    # the float reference is one chain for training, predict and calibration,
+    # and each hidden s_out is its layer's peak over the calibration batch / 255
+    rng = np.random.default_rng(8)
+    x = rng.random((300, 6))
+    model = train_mlp(x, rng.integers(0, 4, 300), TrainConfig(epochs=0, seed=1), hidden_dims=(9, 7, 5))
+    model.biases[1] -= 100.0  # every activation of the second hidden layer is 0
+    model.biases[2] += 0.5
+    acts = model.forward(x)
+    assert len(acts) == 5
+    for a, c in zip(acts, model.activations(x), strict=True):
+        assert a.dtype == c.dtype == np.float64 and np.array_equal(a, c)
+    # ReLU on every hidden layer, none on the logits
+    ref = [x]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = ref[-1] @ w.T + b
+        ref.append(np.maximum(z, 0.0) if i < 3 else z)
+    for a, r in zip(acts, ref, strict=True):
+        assert np.array_equal(a, r)
+    assert (acts[1] > 0).any() and not acts[2].any() and (acts[3] > 0).all() and (acts[4] < 0).any()
+    q = quantize_mlp(model, x)
+    assert [layer.s_out for layer in q.layers] == [acts[1].max() / 255, 1 / 255, acts[3].max() / 255, None]
+
+
+def test_calibration_holds_at_most_two_layers_of_activations():
+    # A README-sized calibration batch, (3200, 32) through HIDDEN_DIMS. Its
+    # largest hidden activation is 3200 x 100 float64, 2.56 MB. Computing a
+    # layer holds its input and its product: 1.89 + 2.56 MB, and the peak
+    # measured 4.47 MB. Calibrating on forward's whole list, with the
+    # temporaries of an out-of-place bias add and ReLU, peaked at 8.98 MB.
+    # The bound, two of the largest activation, lies between the two.
+    rng = np.random.default_rng(0)
+    x = rng.random((3200, N_INPUT_BINS))
+    model = train_mlp(x, rng.integers(0, 4, 3200), TrainConfig(epochs=0, seed=1))
+    largest = 3200 * max(HIDDEN_DIMS) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        quantize_mlp(model, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * largest
 
 
 def _wrapping_classifier() -> MlpClassifier:
