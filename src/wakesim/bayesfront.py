@@ -10,7 +10,6 @@ resolution and the inference is flagged invalid.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,32 +146,8 @@ class ClassScores:
     invalid: bool
 
 
-def _coordinate(x) -> int:
-    """An address coordinate as an int; IndexError for a bool or a value operator.index refuses."""
-    if not isinstance(x, (bool, np.bool_)):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise IndexError(f"address coordinate of type {type(x).__name__}: addresses must be integers")
-
-
-def word_address(shape, class_id: int, feature: int, level: int) -> int:
-    """Flat index of one (class, feature, level) address of a code table.
-
-    Raises IndexError for an address outside `shape` (a negative index
-    does not wrap) and, as word_addresses does, for a coordinate that is
-    not an integer: a bool, or anything operator.index refuses.
-    """
-    class_id, feature, level = map(_coordinate, (class_id, feature, level))
-    n_classes, n_features, n_levels = shape
-    if not (0 <= class_id < n_classes and 0 <= feature < n_features and 0 <= level < n_levels):
-        raise IndexError(f"address {(class_id, feature, level)} outside {shape}")
-    return (class_id * n_features + feature) * n_levels + level
-
-
 def word_addresses(shape, class_ids, features, levels) -> np.ndarray:
-    """word_address over a read sequence: one flat index per read.
+    """Flat index of each (class, feature, level) address of a read sequence in a code table.
 
     The three integer arrays broadcast together, so compact ones serve:
     bayes_infer_many passes (N_CLASSES, 1, 1), (1, n_features, 1) and
@@ -200,7 +175,23 @@ def word_addresses(shape, class_ids, features, levels) -> np.ndarray:
         raise IndexError(f"read sequence of shapes {shapes} does not broadcast") from None
 
 
-class IdealReader:
+class WordReader:
+    """The per-word read of a reader: a one-row view of its read_many.
+
+    `reader(c, f, l)` reads the one word at (c, f, l) through read_many, so
+    word_addresses is its only address check. A coordinate that is not a
+    scalar raises IndexError before any read, where read_many would read
+    every word it names.
+    """
+
+    def __call__(self, class_id: int, feature: int, level: int) -> int:
+        address = (class_id, feature, level)
+        if any(np.ndim(x) != 0 for x in address):
+            raise IndexError(f"address {address}: a per-word read takes one scalar per coordinate")
+        return int(self.read_many(*address)[0])
+
+
+class IdealReader(WordReader):
     """Fault-free word reader: returns stored codes unchanged.
 
     An address outside the code table, or one that is not of integers,
@@ -210,9 +201,6 @@ class IdealReader:
     def __init__(self, model: BayesModel):
         self._shape = model.codes.shape
         self._codes = model.codes.reshape(-1)
-
-    def __call__(self, class_id: int, feature: int, level: int) -> int:
-        return int(self._codes[word_address(self._shape, class_id, feature, level)])
 
     def read_many(self, class_ids, features, levels) -> np.ndarray:
         """Stored codes of a read sequence: the address arrays broadcast together, flattened in C order."""

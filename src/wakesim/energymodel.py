@@ -132,7 +132,7 @@ class RatesTable:
         self._rows = rows
 
     @classmethod
-    def from_csv(cls, path: str, vddr: float | None = None) -> "RatesTable":
+    def from_csv(cls, path: str) -> "RatesTable":
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh, reading(path, "rates CSV"):
             reader = csv.reader(fh)
@@ -156,8 +156,6 @@ class RatesTable:
                     rates = WakeRates(p_abn, p_n)
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from exc
-                if vddr is not None and row_vddr != vddr:
-                    continue
                 if any(abs(r[0] - vdd) < 1e-9 for r in rows):
                     raise DataError(f"{path}:{lineno}: vdd {vdd:g} repeats; a table holds one row per vdd")
                 rows.append((vdd, row_vddr, rates))

@@ -26,8 +26,9 @@ another seed replaces the store. Repeated reads of a word get disjoint
 noise, and the noise of a read does not depend on the order of reads to
 other addresses, so `MemristorReader.read_many` can serve a whole stream of
 reads grouped by address and return exactly what the same sequence of
-single reads would. bayesfront.bayes_infer_many reads a stream class-major,
-in (class, feature, beat) order, where a per-beat loop reads (beat, class,
+single reads would; a single read `reader(c, f, l)` is a one-row
+read_many. bayesfront.bayes_infer_many reads a stream class-major, in
+(class, feature, beat) order, where a per-beat loop reads (beat, class,
 feature); both read each address in beat order, so each address's k-th
 read, and its noise, is the same beat's. read_many serves a stream with
 one (reads, 8) bool flip buffer per call: each address's run of reads
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import NUMBER, load_npz, parse_json, reading, typed, typed_list
-from .bayesfront import BayesModel, word_address, word_addresses
+from .bayesfront import BayesModel, WordReader, word_addresses
 
 WORD_BITS = 8
 # Bit 0 of the device axis is the most significant bit of the word.
@@ -233,7 +234,7 @@ def margins(state: ArrayState) -> np.ndarray:
     return np.abs(np.log10(state.r_bl) - np.log10(state.r_blb))
 
 
-class MemristorReader:
+class MemristorReader(WordReader):
     """Word reader with schedule-invariant noise.
 
     Every address (class, feature, level) has its own counter-based Philox
@@ -251,12 +252,12 @@ class MemristorReader:
 
     `read_many(class_ids, features, levels)` reads a whole sequence of words
     in one call and returns exactly what the same sequence of single reads
-    `reader(c, f, l)` would; either advances the same per-address streams,
-    and both draw and compare through `_draw`.
+    `reader(c, f, l)` would, since a single read is a one-row read_many
+    (bayesfront.WordReader) and `_draw` is the only draw.
     The flip-probability table `flip_table` (class, feature, level, bit) is
     computed once, when the reader is made. An address outside the code
-    table, or one that is not of integers, raises IndexError, and a seed outside 0..READ_SEED_MAX raises
-    ValueError.
+    table, or one that is not of integers, raises IndexError, and a seed
+    outside 0..READ_SEED_MAX raises ValueError.
     """
 
     def __init__(self, state: ArrayState, op: OperatingPoint,
@@ -278,7 +279,7 @@ class MemristorReader:
         # stable sort of such keys is a radix sort.
         self._address_dtype = np.min_scalar_type(len(self._codes) - 1)
         # The generator every address's stream is read from, and the state
-        # dict that re-keys it (see _read_run), taken once from the fresh
+        # dict that re-keys it (see _draw), taken once from the fresh
         # generator. Its arrays become lists: the state setter reads plain
         # ints in less than half the time it takes for array items.
         self._bitgen = np.random.Philox(key=np.array([self.seed, 0], dtype=np.uint64))
@@ -287,9 +288,6 @@ class MemristorReader:
         state["state"] = {k: v.tolist() for k, v in state["state"].items()}
         state["buffer"] = state["buffer"].tolist()
         self._bitgen_state = state
-
-    def __call__(self, class_id: int, feature: int, level: int) -> int:
-        return int(self._read_run(word_address(self._shape, class_id, feature, level), 1)[0])
 
     def read_many(self, class_ids, features, levels) -> np.ndarray:
         """Words of a read sequence, in order; same as one call per read.
@@ -321,12 +319,6 @@ class MemristorReader:
         words = np.empty(len(grouped), dtype=np.int64)
         words[order] = self._codes[grouped] ^ pack_flips(flips)
         return words
-
-    def _read_run(self, addr: int, count: int) -> np.ndarray:
-        """The next `count` reads of one address."""
-        flips = np.empty((count, WORD_BITS), dtype=bool)
-        self._draw(addr, flips)
-        return self._codes[addr] ^ pack_flips(flips)
 
     def _draw(self, addr: int, out: np.ndarray) -> None:
         """The flips of the next len(out) reads of one address, into the (len(out), 8) bool array out.

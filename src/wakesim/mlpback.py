@@ -312,18 +312,6 @@ def mlp_forward(q_inputs, model: MlpModel) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(logits, axis=1), logits
 
 
-def mlp_infer(q_input, model: MlpModel) -> tuple[int, np.ndarray]:
-    """mlp_forward of one input row: (predicted class, int32 logits).
-
-    Deterministic given the model file contents.
-    """
-    x = np.asarray(q_input, dtype=np.int32)
-    if x.shape != (model.dims[0],):
-        raise ValueError(f"expected input of shape ({model.dims[0]},), got {x.shape}")
-    preds, logits = mlp_forward(x[None], model)
-    return int(preds[0]), logits[0]
-
-
 class MlpClassifier:
     """Bundle of bin selection, input quantizer, and quantized network."""
 
@@ -332,13 +320,9 @@ class MlpClassifier:
         self.input_quantizer = input_quantizer
         self.model = model
 
-    def quantize_input(self, mags) -> np.ndarray:
-        mags = np.asarray(mags, dtype=np.float64)
-        return self.input_quantizer(mags[list(self.bins)])
-
     def predict(self, beat, mags) -> int:
-        pred, _ = mlp_infer(self.quantize_input(mags), self.model)
-        return pred
+        """Predicted class of one beat's feature row: a one-row predict_features."""
+        return int(self.predict_features(np.asarray(mags)[None], [0])[0])
 
     def predict_features(self, mags, rows) -> np.ndarray:
         """Predicted class of the given rows of a feature matrix.

@@ -101,6 +101,10 @@ MUTANTS = (
     Mutant("address dtype check lets floats through", "bayesfront.py",
            'a.dtype.kind not in "iu"', 'a.dtype.kind not in "iuf"',
            _ADDRESS_TESTS),
+    # WordReader.__call__: the per-word read refuses a coordinate that is not a scalar.
+    Mutant("per-word read takes an array coordinate", "bayesfront.py",
+           "if any(np.ndim(x) != 0 for x in address):", "if False:",
+           (_MEMSIM + "test_per_word_read_refuses_a_coordinate_that_is_not_a_scalar",)),
     # bayes_infer_many: the class-major sum over the feature axis.
     Mutant("class and feature axes swapped in the class-major sum", "bayesfront.py",
            "words.sum(axis=1).T", "words.swapaxes(0, 1).sum(axis=1).T",

@@ -45,7 +45,7 @@ from wakesim.memsim import (
     program_arrays,
 )
 from wakesim.metrics import ConfusionMatrix, macro_f1_abnormal
-from wakesim.mlpback import TrainConfig, fit_backend, loss_and_grads, mlp_infer, train_mlp
+from wakesim.mlpback import TrainConfig, fit_backend, loss_and_grads, mlp_forward, train_mlp
 from wakesim.wakectl import WakePolicy, decide_wake, run_stream
 
 # Reference wake rates of the three operating presets at nominal supply
@@ -223,7 +223,7 @@ def _exact_integer_forward(x_q, model):
 def test_criterion_09_mlp_accuracy_gradients_and_bit_identity(bench_backend, bench_test):
     mags, labels = bench_test
     deq = np.array([
-        bench_backend.input_quantizer.dequantize(bench_backend.quantize_input(row))
+        bench_backend.input_quantizer.dequantize(bench_backend.input_quantizer(row[list(bench_backend.bins)]))
         for row in mags
     ])
     acc_float = float(np.mean(bench_backend.model.float_ref.predict(deq) == labels))
@@ -253,7 +253,7 @@ def test_criterion_09_mlp_accuracy_gradients_and_bit_identity(bench_backend, ben
 
     for _ in range(50):
         x_q = rng.integers(-128, 128, size=bench_backend.model.dims[0]).astype(np.int8)
-        pred, logits = mlp_infer(x_q, bench_backend.model)
+        pred, logits = (v[0] for v in mlp_forward(x_q[None], bench_backend.model))
         o_pred, o_logits = _exact_integer_forward(x_q, bench_backend.model)
         assert pred == o_pred
         assert [int(v) for v in logits] == o_logits

@@ -7,8 +7,9 @@ stream, one predict_features call over the stream's matrix and its woken
 rows (with run_stream's memo, only the rows its back end has not labelled
 yet), and a StreamResult of per-beat columns. Every test here pins a
 batched step to the scalar API it replaces, which stays public: fft_features,
-MemristorReader(c, f, l), bayes_infer, decide_wake, mlp_infer and
-backend.predict(beat, mags). bayes_infer and decide_wake run the batch
+MemristorReader(c, f, l), bayes_infer, decide_wake, row 0 of mlp_forward and
+backend.predict(beat, mags); the per-word read and predict are one-row views
+of read_many and predict_features. bayes_infer and decide_wake run the batch
 core's decision and wake rules, so those rules are also pinned to the
 numpy-free references in tests/reference.py. Cutting a stream into pieces
 changes no result either.
@@ -27,7 +28,7 @@ from wakesim.bayesfront import N_FEATURES, IdealReader, bayes_infer, bayes_infer
 from wakesim.datapipe import features
 from wakesim.datapipe.beats import N_CLASSES, SEGMENT_LEN, BeatRecord
 from wakesim.datapipe.features import FEATURE_LEN, FFT_CHUNK, feature_matrix, fft_features
-from wakesim.mlpback import mlp_forward, mlp_infer
+from wakesim.mlpback import mlp_forward
 from wakesim.report import build_report
 from wakesim.wakectl import (REASONS, BeatOutcome, StreamResult, WakePolicy, decide_wake,
                              run_features, run_stream, wake_codes, wake_stats)
@@ -320,7 +321,8 @@ def test_batched_backend_equals_mlp_infer_on_every_woken_beat(bench_backend, ben
     q = bench_backend.input_quantizer(mags[woken][:, list(bench_backend.bins)])
     _, logits = mlp_forward(q, bench_backend.model)
     for k, i in enumerate(woken):
-        pred, row_logits = mlp_infer(bench_backend.quantize_input(mags[i]), bench_backend.model)
+        row = bench_backend.input_quantizer(mags[i][list(bench_backend.bins)])
+        pred, row_logits = (v[0] for v in mlp_forward(row[None], bench_backend.model))
         assert preds[k] == pred
         assert np.array_equal(logits[k], row_logits)
         assert logits.dtype == row_logits.dtype == np.int32

@@ -169,21 +169,6 @@ def test_shipped_rates_table():
         table(0.75)
 
 
-def test_rates_table_vddr_filter(tmp_path):
-    path = tmp_path / "rates.csv"
-    path.write_text(
-        "vdd,vddr,p_wake_abn,p_wake_n\n"
-        "1.0,2.4,1.0,0.1\n"
-        "1.0,1.5,1.0,0.4\n"
-        "1.2,2.4,0.9,0.02\n"
-    )
-    table = RatesTable.from_csv(path, vddr=2.4)
-    assert table.vdds == [1.0, 1.2]
-    assert table(1.0) == WakeRates(1.0, 0.1)
-    with pytest.raises(DataError, match="no usable rows"):
-        RatesTable.from_csv(path, vddr=3.0)
-
-
 @pytest.mark.parametrize("text,message", [
     ("volts,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0,0.1\n", "expected header"),
     ("vdd,vddr,p_wake_abn,p_wake_n\n1.0,2.4,1.0\n", "expected 4 columns"),

@@ -689,8 +689,23 @@ def test_readers_refuse_a_read_sequence_that_is_not_integer(make_reader, index, 
         reader.read_many(*index)
     # the per-word call refuses the same coordinates, naming their type
     word = [v[0] for v in index]
-    with pytest.raises(IndexError, match=f"type {type(word[2]).__name__}: addresses must be integers"):
+    with pytest.raises(IndexError, match=f"dtype {dtype}"):
         reader(*word)
     assert reader.read_many([], [], []).tolist() == []
+    if isinstance(reader, MemristorReader):
+        assert sum(reader._reads) == 0
+
+
+@_READER_MAKERS
+@pytest.mark.parametrize("address", [
+    (np.array([0, 1]), 0, 0), (0, [1], 0), (0, 0, np.zeros((1, 1), dtype=np.int64)),
+], ids=["array", "list", "2d"])
+def test_per_word_read_refuses_a_coordinate_that_is_not_a_scalar(make_reader, address, stub_model):
+    # read_many would read every word such an address names; a per-word read
+    # refuses it before reading any
+    model = stub_model(np.arange(128).reshape(4, 4, 8))
+    reader = make_reader(program_arrays(model, regime_preset("B")[1], 1.5, seed=1), model)
+    with pytest.raises(IndexError, match="one scalar per coordinate"):
+        reader(*address)
     if isinstance(reader, MemristorReader):
         assert sum(reader._reads) == 0

@@ -24,7 +24,6 @@ from wakesim.mlpback import (
     load_classifier,
     loss_and_grads,
     mlp_forward,
-    mlp_infer,
     quantize_mlp,
     save_classifier,
     train_mlp,
@@ -187,7 +186,7 @@ def test_all_zero_layer_gets_unit_scale_and_ties_to_class_zero():
     model = MlpFloat(weights=[np.zeros((4, 6))], biases=[np.zeros(4)])
     q = quantize_mlp(model, np.zeros((2, 6)))
     assert q.layers[0].s_w == 1.0
-    pred, logits = mlp_infer(np.zeros(6, dtype=np.int8), q)
+    pred, logits = (v[0] for v in mlp_forward(np.zeros(6, dtype=np.int8)[None], q))
     assert np.array_equal(logits, np.zeros(4, dtype=np.int64))
     assert pred == 0
 
@@ -198,7 +197,7 @@ def test_positive_diagonal_routes_argmax():
     rng = np.random.default_rng(4)
     for _ in range(50):
         x = rng.integers(-128, 128, size=4).astype(np.int8)
-        pred, _ = mlp_infer(x, q)
+        pred, _ = (v[0] for v in mlp_forward(x[None], q))
         assert pred == int(np.argmax(x))
 
 
@@ -274,7 +273,7 @@ def _wrapping_classifier() -> MlpClassifier:
 def test_load_refuses_a_final_bias_that_lets_a_logit_wrap(tmp_path):
     clf = _wrapping_classifier()
     # what the loader guards against: class 0's logit wraps negative and class 1 wins
-    pred, logits = mlp_infer(np.array([127, 127], dtype=np.int8), clf.model)
+    pred, logits = (v[0] for v in mlp_forward(np.array([127, 127], dtype=np.int8)[None], clf.model))
     assert (pred, logits[0]) == (1, -2_147_418_879)
     path = tmp_path / "mlp.json"
     save_classifier(path, clf)
@@ -287,7 +286,7 @@ def test_infer_validates_input_shape():
     model = MlpFloat(weights=[np.eye(4)], biases=[np.zeros(4)])
     q = quantize_mlp(model, np.zeros((2, 4)))
     with pytest.raises(ValueError, match="expected input"):
-        mlp_infer(np.zeros(5, dtype=np.int8), q)
+        mlp_forward(np.zeros(5, dtype=np.int8)[None], q)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def _oracle_infer(x_q, model):
     """Arbitrary-precision re-implementation of the integer forward pass.
 
     Accumulation in Python ints, requantization as one float64 product
-    rounded half-to-even. Must agree with mlp_infer bit for bit.
+    rounded half-to-even. Must agree with row 0 of mlp_forward bit for bit.
     """
     x = [int(v) for v in x_q]
     logits = None
@@ -326,7 +325,7 @@ def test_integer_inference_matches_pure_python_oracle(bench_backend):
     model = bench_backend.model
     for _ in range(25):
         x_q = rng.integers(-128, 128, size=model.dims[0]).astype(np.int8)
-        pred, logits = mlp_infer(x_q, model)
+        pred, logits = (v[0] for v in mlp_forward(x_q[None], model))
         o_pred, o_logits = _oracle_infer(x_q, model)
         assert pred == o_pred
         assert [int(v) for v in logits] == o_logits
@@ -348,7 +347,7 @@ def test_integer_inference_matches_float_simulation(bench_backend):
             else:
                 mult = layer.s_in * layer.s_w / layer.s_out
                 x = np.clip(np.rint(acc * mult) + layer.zp_out, -128, 127)
-        pred, logits = mlp_infer(x_q, model)
+        pred, logits = (v[0] for v in mlp_forward(x_q[None], model))
         assert np.array_equal(logits.astype(np.float64), logits_f)
         assert pred == int(np.argmax(logits_f))
 
@@ -401,7 +400,7 @@ def test_tiled_forward_equals_the_untiled_integer_pass(bench_backend, n_rows):
         assert np.array_equal(logits, want_logits)
         assert np.array_equal(preds, want_preds)
         for row, pred, row_logits in zip(x, preds.tolist(), logits):
-            one_pred, one_logits = mlp_infer(row, model)
+            one_pred, one_logits = (v[0] for v in mlp_forward(row[None], model))
             assert one_pred == pred and np.array_equal(one_logits, row_logits)
 
 
@@ -431,7 +430,7 @@ def test_quantized_tracks_float_accuracy(bench_backend, bench_test):
     float_ref = bench_backend.model.float_ref
     agree = 0
     for row, ip in zip(mags, int_preds):
-        x_q = bench_backend.quantize_input(row)
+        x_q = bench_backend.input_quantizer(row[list(bench_backend.bins)])
         x_deq = bench_backend.input_quantizer.dequantize(x_q)
         fp = int(float_ref.predict(x_deq[None, :])[0])
         agree += fp == ip
@@ -465,9 +464,10 @@ def test_save_load_round_trip(tmp_path, bench_backend, bench_test):
     mags, _ = bench_test
     rng = np.random.default_rng(7)
     for i in rng.integers(0, len(mags), size=50):
-        x_q = bench_backend.quantize_input(mags[i])
-        a = mlp_infer(x_q, bench_backend.model)
-        b = mlp_infer(back.quantize_input(mags[i]), back.model)
+        x_q = bench_backend.input_quantizer(mags[i][list(bench_backend.bins)])
+        a = [v[0] for v in mlp_forward(x_q[None], bench_backend.model)]
+        x_back = back.input_quantizer(mags[i][list(back.bins)])
+        b = [v[0] for v in mlp_forward(x_back[None], back.model)]
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
