@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beats import BeatRecord, Dataset, N_CLASSES, SEGMENT_LEN
+from .features import FFT_CHUNK
 
 CLASS_TONE_BINS = tuple((8 + 4 * c, 30 + 4 * c) for c in range(N_CLASSES))
 TONE_AMPLITUDES = (1.0, 0.6)
@@ -18,20 +19,36 @@ TONE_AMPLITUDES = (1.0, 0.6)
 CHANNEL_PHASE_SHIFT = np.pi / 3
 
 
-def synth_beat(rng: np.random.Generator, class_id: int, noise_sigma: float,
-               source_id: str, beat_index: int) -> BeatRecord:
+def _synth_block(rng: np.random.Generator, class_id: int, noise_sigma: float, n: int) -> np.ndarray:
+    """Samples of n consecutive beats of one class, shape (n, 2, SEGMENT_LEN).
+
+    Each beat draws from rng in turn, its two tone phases and then its ch0
+    and ch1 noise, so a block takes the stream positions of n one-beat
+    blocks. The tones and noise are then summed for the whole block, with
+    each sample's operations in the one-beat order.
+    """
     t = np.arange(SEGMENT_LEN)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=len(TONE_AMPLITUDES))
-    samples = np.zeros((2, SEGMENT_LEN))
-    for ch in range(2):
-        x = np.zeros(SEGMENT_LEN)
-        for amp, freq, phase in zip(TONE_AMPLITUDES, CLASS_TONE_BINS[class_id], phases):
-            x += amp * np.cos(2.0 * np.pi * freq * t / SEGMENT_LEN + phase + ch * CHANNEL_PHASE_SHIFT)
+    phases = np.empty((n, len(TONE_AMPLITUDES)))
+    noise = np.empty((n, 2, SEGMENT_LEN))
+    for i in range(n):
+        phases[i] = rng.uniform(0.0, 2.0 * np.pi, size=len(TONE_AMPLITUDES))
         # Draw noise unconditionally so the stream position does not depend
         # on sigma; scaling by zero still yields exact zeros.
-        x += noise_sigma * rng.standard_normal(SEGMENT_LEN)
-        samples[ch] = x
-    return BeatRecord(samples, class_id, source_id, beat_index)
+        rng.standard_normal(out=noise[i])
+    samples = np.zeros((n, 2, SEGMENT_LEN))
+    for ch in range(2):
+        for k, (amp, freq) in enumerate(zip(TONE_AMPLITUDES, CLASS_TONE_BINS[class_id])):
+            samples[:, ch] += amp * np.cos(2.0 * np.pi * freq * t / SEGMENT_LEN + phases[:, k, None]
+                                           + ch * CHANNEL_PHASE_SHIFT)
+    noise *= noise_sigma
+    samples += noise
+    return samples
+
+
+def synth_beat(rng: np.random.Generator, class_id: int, noise_sigma: float,
+               source_id: str, beat_index: int) -> BeatRecord:
+    """One beat: a one-beat _synth_block."""
+    return BeatRecord(_synth_block(rng, class_id, noise_sigma, 1)[0], class_id, source_id, beat_index)
 
 
 def synth_dataset(seed: int, beats_per_class: int, noise_sigma: float = 1.0,
@@ -39,7 +56,10 @@ def synth_dataset(seed: int, beats_per_class: int, noise_sigma: float = 1.0,
     """Build a balanced synthetic dataset, bit-reproducible for a seed.
 
     Beats are generated in a fixed order (split, then class, then index),
-    so the same seed always yields the same samples.
+    so the same seed always yields the same samples. Each class is made in
+    blocks of at most FFT_CHUNK beats, so the working arrays stay the same
+    size whatever the split size, and every record equals the one a
+    synth_beat per beat would give.
     """
     if beats_per_class < 1:
         raise ValueError("beats_per_class must be positive")
@@ -54,7 +74,8 @@ def synth_dataset(seed: int, beats_per_class: int, noise_sigma: float = 1.0,
     for split, count in (("train", beats_per_class), ("test", test_per_class)):
         beats = getattr(ds, split)
         for c in range(N_CLASSES):
-            for _ in range(count):
-                beats.append(synth_beat(rng, c, noise_sigma, source, index))
-                index += 1
+            for start in range(0, count, FFT_CHUNK):
+                for samples in _synth_block(rng, c, noise_sigma, min(FFT_CHUNK, count - start)):
+                    beats.append(BeatRecord(samples, c, source, index))
+                    index += 1
     return ds

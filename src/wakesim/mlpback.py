@@ -33,7 +33,9 @@ N_INPUT_BINS = 32
 INPUT_SCALE = 1.0 / 255.0
 INPUT_ZERO_POINT = -128
 CLIP_PERCENTILES = (0.5, 99.5)
-# Rows per pass of mlp_forward's layer chain (see its docstring).
+# Rows per pass of a layer chain: mlp_forward's (see its docstring) and
+# quantize_mlp's calibration, whose transients then stay the same size
+# whatever the batch.
 MLP_TILE = 256
 
 
@@ -72,10 +74,17 @@ class InputQuantizer:
                              " by a finite span")
 
     def __call__(self, raw) -> np.ndarray:
-        # Clipped first, so unit lies in [0, 1] and the codes in [-128, 127].
-        raw = np.clip(np.asarray(raw, dtype=np.float64), self.clip_lo, self.clip_hi)
-        unit = (raw - self.clip_lo) / (self.clip_hi - self.clip_lo)
-        return (np.floor(unit * 255.0 + 0.5) + INPUT_ZERO_POINT).astype(np.int8)
+        # Clipped first, so the unit value lies in [0, 1] and the codes in [-128, 127].
+        # The affine map then runs in place in the new array np.clip returns, so the
+        # caller's array, which may be read-only, is never written.
+        q = np.clip(np.asarray(raw, dtype=np.float64), self.clip_lo, self.clip_hi)
+        q -= self.clip_lo
+        q /= self.clip_hi - self.clip_lo
+        q *= 255.0
+        q += 0.5
+        np.floor(q, out=q)
+        q += INPUT_ZERO_POINT
+        return q.astype(np.int8)
 
     def dequantize(self, q) -> np.ndarray:
         """Shared [0, 1] embedding of the int8 features; the float model's input."""
@@ -236,18 +245,36 @@ def _weight_scale(w: np.ndarray) -> float:
     return peak / 127.0 if peak > 0 else 1.0
 
 
+def _hidden_peaks(model: MlpFloat, calibration) -> np.ndarray:
+    """Each hidden layer's largest activation over a batch, one MLP_TILE block of rows at a time.
+
+    A tile runs through the hidden layers only. The max over the tiles'
+    maxima equals the whole batch's max bit for bit, NaN included (a NaN in
+    any tile gives NaN), and an empty batch raises ValueError, as a max over
+    no rows does.
+    """
+    x = np.asarray(calibration, dtype=np.float64)
+    n_hidden = len(model.weights) - 1
+    peaks = []
+    for start in range(0, len(x), MLP_TILE):
+        acts = model.activations(x[start:start + MLP_TILE])
+        next(acts)  # the input tile
+        peaks.append([next(acts).max() for _ in range(n_hidden)])
+    return np.array(peaks).max(axis=0)
+
+
 def quantize_mlp(model: MlpFloat, calibration: np.ndarray) -> MlpModel:
     """Post-training quantization against a calibration batch.
 
     Weights: symmetric per-tensor int8 (scale = max|w| / 127; an all-zero
     tensor gets scale 1). Biases: int32 at the combined input*weight scale;
     a final-layer bias that would let a logit leave int32 raises ValueError.
-    Hidden activations: per-tensor affine from the observed [0, max] range.
-    Each hidden activation is computed only when its s_out needs it, and the
-    final layer's is never computed.
+    Hidden activations: per-tensor affine from the observed [0, max] range
+    over the batch, found one MLP_TILE block of rows at a time, so the
+    activations held stay two layers of one tile whatever the batch size;
+    the final layer is never computed. An empty batch raises ValueError.
     """
-    acts = model.activations(calibration)
-    next(acts)  # the input batch
+    peaks = _hidden_peaks(model, calibration)
     layers: list[QuantLayer] = []
     s_in = INPUT_SCALE
     zp_in = INPUT_ZERO_POINT
@@ -260,7 +287,7 @@ def quantize_mlp(model: MlpFloat, calibration: np.ndarray) -> MlpModel:
             raise ValueError("bias does not fit in int32 at the combined scale")
         b_q = b_q.astype(np.int32)
         if i < n_layers - 1:
-            peak = float(next(acts).max())
+            peak = float(peaks[i])
             s_out = peak / 255.0 if peak > 0 else 1.0 / 255.0
             zp_out = -128  # range [0, peak]: ReLU folds into the clamp
             layers.append(QuantLayer(w_q, b_q, s_w, s_in, zp_in, s_out, zp_out))

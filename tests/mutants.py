@@ -41,6 +41,8 @@ class Mutant:
 
 
 _MEMSIM = "tests/test_memsim.py::"
+_MLPBACK = "tests/test_mlpback.py::"
+_SYNTH_TEST = "tests/test_datapipe.py::test_synth_dataset_equals_the_per_beat_reference_record_for_record"
 _PACK_TEST = _MEMSIM + "test_pack_flips_equals_bits_code_on_every_row"
 _ADDRESS_TESTS = ("tests/test_bayesfront.py::test_word_addresses_refuse_a_bad_read_sequence",
                   "tests/test_memsim.py::test_readers_reject_an_address_outside_the_table",
@@ -89,6 +91,18 @@ MUTANTS = (
            "                np.maximum(a, 0.0, out=a)\n", "                pass\n",
            ("tests/test_mlpback.py::test_forward_is_the_activation_chain_and_sets_each_hidden_scale",
             "tests/test_mlpback.py::test_gradients_match_finite_differences")),
+    # _hidden_peaks: calibration over MLP_TILE-row tiles equals the whole-batch max.
+    Mutant("calibration keeps only the last tile's peak", "mlpback.py",
+           "return np.array(peaks).max(axis=0)", "return np.array(peaks)[-1]",
+           (_MLPBACK + "test_calibration_scales_equal_the_whole_batch_peaks_at_tile_edges",
+            _MLPBACK + "test_a_nan_row_in_one_tile_gives_the_scales_of_the_whole_batch")),
+    Mutant("calibration tile drops its last row", "mlpback.py",
+           "model.activations(x[start:start + MLP_TILE])", "model.activations(x[start:start + MLP_TILE][:-1])",
+           (_MLPBACK + "test_calibration_scales_equal_the_whole_batch_peaks_at_tile_edges",)),
+    # InputQuantizer.__call__: the in-place affine map rounds half up.
+    Mutant("input quantizer drops its + 0.5", "mlpback.py",
+           "        q += 0.5\n", "        pass\n",
+           (_MLPBACK + "test_input_quantizer_equals_the_out_of_place_map_and_leaves_a_read_only_input",)),
     # load_classifier: the final-layer bias bound that keeps logits in int32.
     Mutant("loader logit-bias check removed", "mlpback.py",
            '                _check_logit_range(bias, shape[1], f"{where}.bias")\n',
@@ -110,6 +124,13 @@ MUTANTS = (
            "words.sum(axis=1).T", "words.swapaxes(0, 1).sum(axis=1).T",
            ("tests/test_batch_core.py::test_class_major_batch_reads_each_address_as_a_per_beat_loop",
             "tests/test_batch_core.py::test_batched_inference_equals_bayes_infer")),
+    # _synth_block: a block's tone sums equal the per-beat generator's.
+    Mutant("both tones use the first phase", "datapipe/synthetic.py",
+           "phases[:, k, None]", "phases[:, 0, None]",
+           (_SYNTH_TEST,)),
+    Mutant("channel phase shift dropped", "datapipe/synthetic.py",
+           "\n                                           + ch * CHANNEL_PHASE_SHIFT)", ")",
+           (_SYNTH_TEST,)),
     # write_trace: beat numbers at the even slots of the join, line bodies at the odd.
     Mutant("trace parts shifted by one slot", "wakectl.py",
            "parts[::2] = _trace_prefixes(self.n)[:self.n]\n        parts[1::2] = [",

@@ -312,7 +312,7 @@ def test_class_major_batch_reads_each_address_as_a_per_beat_loop(bench_model, na
     assert sum(batch_reader._reads) == n_beats * N_CLASSES * N_FEATURES
 
 
-def test_batched_backend_equals_mlp_infer_on_every_woken_beat(bench_backend, bench_test,
+def test_batched_backend_equals_mlp_forward_on_every_woken_beat(bench_backend, bench_test,
                                                               regime_streams):
     mags, _ = bench_test
     woken = [i for i, o in enumerate(regime_streams["B"].outcomes) if o.wake]

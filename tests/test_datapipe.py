@@ -24,6 +24,7 @@ from wakesim.datapipe.beats import (
 from wakesim.datapipe.features import (
     BINS_PER_CHANNEL,
     FEATURE_LEN,
+    FFT_CHUNK,
     cell_counts,
     chi2_rank,
     fft_features,
@@ -33,6 +34,8 @@ from wakesim.datapipe.features import (
 from wakesim.datapipe.quantizers import QuantizerSpec, fit_quantizer, quantize
 from wakesim.datapipe.synthetic import CLASS_TONE_BINS, synth_beat, synth_dataset
 from wakesim.errors import DataError
+
+import reference
 
 # ---------------------------------------------------------------------------
 # segmentation
@@ -264,6 +267,30 @@ def test_synth_dataset_shape_order_and_determinism():
                for a, b in zip(ds.train + ds.test, again.train + again.test))
     other = synth_dataset(12, 6, 0.5, test_per_class=2)
     assert not np.array_equal(ds.train[0].samples, other.train[0].samples)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.05, 4.0])
+def test_synth_dataset_equals_the_per_beat_reference_record_for_record(noise_sigma):
+    # block edges at 1, FFT_CHUNK - 1 and FFT_CHUNK + 1 beats per class
+    for count in (1, FFT_CHUNK - 1, FFT_CHUNK + 1):
+        ds = synth_dataset(11, count, noise_sigma, test_per_class=count + 1)
+        ref = reference.synth_dataset(11, count, noise_sigma, test_per_class=count + 1)
+        assert ds.seed == ref.seed
+        for split in ("train", "test"):
+            got, want = getattr(ds, split), getattr(ref, split)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.samples.tobytes() == b.samples.tobytes()
+                assert (a.label, a.source_id, a.beat_index) == (b.label, b.source_id, b.beat_index)
+
+
+def test_synth_beat_equals_the_reference_and_leaves_the_generator_where_it_does():
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for class_id in range(4):
+        beat = synth_beat(rng, class_id, 0.3, "x", class_id)
+        want = reference.synth_beat(ref_rng, class_id, 0.3, "x", class_id)
+        assert beat.samples.tobytes() == want.samples.tobytes() and beat.label == want.label
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_synth_dataset_validation():

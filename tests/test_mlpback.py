@@ -64,6 +64,20 @@ def test_input_quantizer_round_trip_error_bound():
     assert np.all(np.abs(recon - x) <= step / 2 + 1e-9)
 
 
+def test_input_quantizer_equals_the_out_of_place_map_and_leaves_a_read_only_input():
+    rng = np.random.default_rng(3)
+    raw = rng.uniform(-1.0, 3.0, size=(300, 6))
+    q = fit_input_quantizer(raw[:200])
+    raw.flags.writeable = False
+    before = raw.copy()
+    coded = q(raw)
+    assert np.array_equal(raw, before)
+    unit = (np.clip(raw, q.clip_lo, q.clip_hi) - q.clip_lo) / (q.clip_hi - q.clip_lo)
+    want = (np.floor(unit * 255.0 + 0.5) + INPUT_ZERO_POINT).astype(np.int8)
+    assert coded.dtype == np.int8 and np.array_equal(coded, want)
+    assert np.array_equal(q(raw[7]), want[7])
+
+
 def test_input_quantizer_clips_out_of_range():
     q = InputQuantizer(clip_lo=np.array([0.0]), clip_hi=np.array([1.0]))
     assert q(np.array([-5.0]))[0] == -128
@@ -239,25 +253,68 @@ def test_forward_is_the_activation_chain_and_sets_each_hidden_scale():
     assert [layer.s_out for layer in q.layers] == [acts[1].max() / 255, 1 / 255, acts[3].max() / 255, None]
 
 
+@pytest.mark.parametrize("n", [1, MLP_TILE - 1, MLP_TILE, MLP_TILE + 1, 3207])
+def test_calibration_scales_equal_the_whole_batch_peaks_at_tile_edges(n):
+    # Nonnegative weights and inputs, and zero biases, make every activation grow with
+    # every input, so the all-ones row holds each hidden layer's largest activation. It
+    # is the last row of the first tile: a tile that drops its last row, or a peak taken
+    # from the last tile alone, misses it.
+    rng = np.random.default_rng(n)
+    x = 0.5 * rng.random((n, N_INPUT_BINS))
+    x[min(n, MLP_TILE) - 1] = 1.0
+    model = train_mlp(x, rng.integers(0, 4, n), TrainConfig(epochs=0, seed=1))
+    model.weights = [np.abs(w) for w in model.weights]
+    acts = model.forward(x)
+    assert all(a.argmax() // a.shape[1] == min(n, MLP_TILE) - 1 for a in acts[1:-1])
+    q = quantize_mlp(model, x)
+    assert [layer.s_out for layer in q.layers] == [a.max() / 255 for a in acts[1:-1]] + [None]
+
+
+def test_a_nan_row_in_one_tile_gives_the_scales_of_the_whole_batch():
+    # A whole-batch max over a NaN is NaN, and NaN > 0 is false, so every hidden
+    # s_out is 1 / 255. The NaN is in the first of three tiles, whose other tiles
+    # have positive peaks: a running Python max() from 0.0, which drops a NaN,
+    # or the last tile's peak alone, would keep one of those.
+    rng = np.random.default_rng(4)
+    x = rng.random((2 * MLP_TILE + 7, N_INPUT_BINS))
+    x[3, 5] = np.nan
+    model = train_mlp(x, rng.integers(0, 4, len(x)), TrainConfig(epochs=0, seed=1))
+    model.weights = [np.abs(w) for w in model.weights]
+    assert all(np.isnan(a.max()) for a in model.forward(x)[1:-1])
+    assert (model.forward(x[MLP_TILE:])[1] > 0).any()
+    q = quantize_mlp(model, x)
+    assert [layer.s_out for layer in q.layers] == [1 / 255, 1 / 255, None]
+
+
+def test_calibration_on_an_empty_batch_raises():
+    model = train_mlp(np.zeros((4, 6)), np.arange(4), TrainConfig(epochs=0, seed=1), hidden_dims=(5,))
+    with pytest.raises(ValueError):
+        quantize_mlp(model, np.zeros((0, 6)))
+
+
 def test_calibration_holds_at_most_two_layers_of_activations():
-    # A README-sized calibration batch, (3200, 32) through HIDDEN_DIMS. Its
-    # largest hidden activation is 3200 x 100 float64, 2.56 MB. Computing a
-    # layer holds its input and its product: 1.89 + 2.56 MB, and the peak
-    # measured 4.47 MB. Calibrating on forward's whole list, with the
-    # temporaries of an out-of-place bias add and ReLU, peaked at 8.98 MB.
-    # The bound, two of the largest activation, lies between the two.
-    rng = np.random.default_rng(0)
-    x = rng.random((3200, N_INPUT_BINS))
-    model = train_mlp(x, rng.integers(0, 4, 3200), TrainConfig(epochs=0, seed=1))
+    # Calibration runs the hidden layers over MLP_TILE rows at a time, so it
+    # holds two hidden layers of one tile, 256 x (74 + 100) float64 = 0.36 MB,
+    # whatever the batch size; the peak measured 0.36 MB at 3200 and at 12 800
+    # rows. Holding two whole layers of a README-sized batch, (3200, 32)
+    # through HIDDEN_DIMS, peaked at 4.47 MB (its largest hidden activation
+    # is 3200 x 100 float64, 2.56 MB), and forward's whole list, with the
+    # temporaries of an out-of-place bias add and ReLU, at 8.98 MB. The
+    # bounds are two of that largest activation, and 0.5 MB at both sizes.
     largest = 3200 * max(HIDDEN_DIMS) * 8
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        quantize_mlp(model, x)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * largest
+    rng = np.random.default_rng(0)
+    for n in (3200, 12_800):
+        x = rng.random((n, N_INPUT_BINS))
+        model = train_mlp(x, rng.integers(0, 4, n), TrainConfig(epochs=0, seed=1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            quantize_mlp(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * largest
+        assert peak < 500_000, (n, peak)
 
 
 def _wrapping_classifier() -> MlpClassifier:
